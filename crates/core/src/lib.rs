@@ -13,8 +13,9 @@
 //!   routing and a typed [`TopkEvent`] stream, over any [`Engine`];
 //! * [`monitor`] — the [`Monitor`] trait and [`TopkMonitor`], the
 //!   assembled algorithm;
-//! * [`threaded`] — [`ThreadedTopkMonitor`], the same algorithm on live
-//!   OS-thread nodes with the delta-driven frame transport;
+//! * [`cluster`] — [`ClusterMonitor`], the same algorithm on a distributed
+//!   runtime: [`ThreadedTopkMonitor`] (live OS-thread nodes, [`threaded`])
+//!   and [`SocketTopkMonitor`] (loopback-TCP shards, [`socket`]);
 //! * [`baselines`] — naive streaming, §2.1 periodic recomputation,
 //!   filter-with-poll-resolution, and Lam-et-al.-style dominance tracking;
 //! * [`opt`] — the offline optimal filter segmentation (the competitive
@@ -30,6 +31,7 @@
 
 pub mod audit;
 pub mod baselines;
+pub mod cluster;
 pub mod codec;
 pub mod config;
 pub mod coordinator;
@@ -37,7 +39,6 @@ pub mod events;
 pub mod metrics;
 pub mod monitor;
 pub mod msg;
-pub mod multik;
 pub mod node;
 pub mod opt;
 pub mod params;
@@ -47,6 +48,7 @@ pub mod threaded;
 
 pub use audit::{assert_audit_clean, audit_monitor, AuditError};
 pub use baselines::{DominanceMidpoint, FilterNaiveResolve, NaiveMonitor, PeriodicRecompute};
+pub use cluster::ClusterMonitor;
 pub use config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
 pub use coordinator::CoordinatorMachine;
 pub use events::{EventReplay, TopkEvent};
@@ -54,7 +56,6 @@ pub use metrics::RunMetrics;
 pub use monitor::{
     is_eps_valid_topk, is_valid_topk, run_monitor, run_monitor_sparse, Monitor, TopkMonitor,
 };
-pub use multik::MultiKMonitor;
 pub use node::NodeMachine;
 pub use opt::{
     opt_segments, opt_updates_dp, trace_delta, window_feasible, OptCostModel, OptResult,

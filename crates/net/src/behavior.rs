@@ -109,8 +109,10 @@ pub trait NodeBehavior: Send {
     /// caches each phase's reply so an idempotent frame re-delivery can
     /// re-send it without re-running the behavior.
     type Up: WireSize + Clone + Send + 'static;
-    /// Coordinator → node message type (broadcast or unicast).
-    type Down: WireSize + Clone + Send + 'static;
+    /// Coordinator → node message type (broadcast or unicast). `Sync`
+    /// because the threaded transport shares one copy of a round's
+    /// broadcasts between all node threads it frames.
+    type Down: WireSize + Clone + Send + Sync + 'static;
 
     /// Contract flag for the sparse execution path: `true` asserts that
     /// calling [`NodeBehavior::observe`] with a value **equal to the node's

@@ -1,7 +1,7 @@
 //! [`FireCalendar`] — the runtime-side half of the fire-round calendar
 //! contract ([`crate::behavior::RoundAction::wake_at`]), shared by the
-//! sequential ([`crate::seq::SyncRuntime`]) and threaded
-//! ([`crate::threaded::ThreadedCluster`]) runtimes.
+//! sequential runtime ([`crate::seq::SyncRuntime`]) and the distributed
+//! step driver ([`crate::driver::Cluster`]).
 //!
 //! A node that announces its wake phase is bucketed under it and dropped
 //! from the per-round poll set; each micro-round then visits only the

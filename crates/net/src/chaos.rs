@@ -1,6 +1,6 @@
 //! Seeded fault injection for the threaded and socket runtimes — the chaos
-//! half of the transport's recovery story (the recovery halves live in
-//! [`crate::threaded::ThreadedCluster`] and [`crate::socket::SocketCluster`]).
+//! half of the transport's recovery story (the recovery half lives in the
+//! shared step driver, [`crate::driver::Cluster`]).
 //!
 //! The paper's model assumes a *perfect* synchronous transport: every frame
 //! delivered exactly once, instantly. A [`ChaosPolicy`] breaks that promise
@@ -406,6 +406,9 @@ pub enum RuntimeError {
     /// The socket transport failed outside any single node's fault domain
     /// (listener setup, accept, handshake, or reconnect).
     Transport { what: String },
+    /// The coordinator ran more than `guard` micro-rounds in step `t`
+    /// without finishing — its protocol failed to terminate.
+    GuardExceeded { t: u64, guard: u32 },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -423,6 +426,11 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::Transport { what } => {
                 write!(f, "socket transport failed: {what}")
             }
+            RuntimeError::GuardExceeded { t, guard } => write!(
+                f,
+                "micro-round guard exceeded at t={t} ({guard} rounds): \
+                 protocol failed to terminate"
+            ),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! [`DeltaRow`] — the driver-side cached value row shared by the
-//! sequential ([`crate::seq::SyncRuntime`]) and threaded
-//! ([`crate::threaded::ThreadedCluster`]) runtimes' delta-driven entry
+//! sequential runtime ([`crate::seq::SyncRuntime`]) and the distributed
+//! step driver ([`crate::driver::Cluster`]) in their delta-driven entry
 //! points.
 //!
 //! Both runtimes accept the same two drives — dense rows (`step`) and
@@ -120,7 +120,7 @@ impl DeltaRow {
 /// either stream, in ascending order, with the payload when `left` holds
 /// that id.
 ///
-/// This is **the** node-phase visit rule of both runtimes — phase 0 visits
+/// This is **the** node-phase visit rule of every runtime — phase 0 visits
 /// changed ∪ engaged, a broadcast-free micro-round visits addressees ∪
 /// engaged. Sharing the merge keeps the rule single-sourced, like the
 /// diff/filter logic in [`DeltaRow`].
