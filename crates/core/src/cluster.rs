@@ -1,13 +1,13 @@
-//! [`ClusterMonitor`] — Algorithm 1 assembled on a distributed runtime: the
-//! nodes live behind a [`Transport`] (OS threads for
+//! [`ClusterMonitor`] — Algorithm 1 assembled on the step driver
+//! ([`Cluster`]): the nodes live behind a [`Transport`] (called in place
+//! for [`TopkMonitor`](crate::TopkMonitor), OS threads for
 //! [`ThreadedTopkMonitor`](crate::ThreadedTopkMonitor), loopback-TCP
 //! shards for [`SocketTopkMonitor`](crate::SocketTopkMonitor)), the
-//! coordinator is driven from the caller's thread by the shared step
-//! driver ([`Cluster`]).
+//! coordinator is driven from the caller's thread.
 //!
-//! Same [`Monitor`] contract as [`TopkMonitor`], same ledgers, same answers
-//! — every engine is bit-identical for equal `(cfg, seed)` and inputs
-//! (pinned by `tests/runtime_conformance.rs`).
+//! One [`Monitor`] contract, same ledgers, same answers — every engine is
+//! bit-identical for equal `(cfg, seed)` and inputs (pinned by
+//! `tests/runtime_conformance.rs`).
 
 use topk_net::behavior::CoordinatorBehavior;
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError};
@@ -19,11 +19,11 @@ use crate::config::MonitorConfig;
 use crate::coordinator::CoordinatorMachine;
 use crate::events::{EventCursor, TopkEvent};
 use crate::metrics::RunMetrics;
-use crate::monitor::{Monitor, TopkMonitor};
+use crate::monitor::Monitor;
 use crate::node::NodeMachine;
 
-/// Algorithm 1 on a distributed runtime — a [`Monitor`] whose nodes live
-/// behind transport `T`.
+/// Algorithm 1 on the step driver — a [`Monitor`] whose nodes live behind
+/// transport `T`.
 ///
 /// This is the *engine* type; new code should usually build a
 /// [`crate::session::MonitorSession`] with the matching
@@ -36,11 +36,11 @@ pub struct ClusterMonitor<T: Transport<Node = NodeMachine>> {
 }
 
 impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
-    /// Start the nodes behind a clean transport. Seeds and behaviors match
-    /// [`TopkMonitor::new`] exactly, so the monitors are interchangeable
-    /// twins.
+    /// Start the nodes behind a clean transport. Seeds and behaviors come
+    /// from [`ClusterMonitor::make_parts`] on every transport, so the
+    /// engines are interchangeable twins.
     pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
+        let (nodes, coord) = Self::make_parts(cfg, seed);
         Self::over(Cluster::spawn(nodes), coord, cfg)
     }
 
@@ -51,9 +51,24 @@ impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
     /// to the fault-free twin (pinned by the chaos arms of
     /// `tests/runtime_conformance.rs`); only the recovery counters and the
     /// retransmit channels record that faults happened.
+    ///
+    /// # Panics
+    ///
+    /// On the sequential engine, whose direct transport has no chaos layer.
     pub fn new_chaotic(cfg: MonitorConfig, seed: u64, policy: ChaosPolicy) -> Self {
-        let (nodes, coord) = TopkMonitor::make_parts(cfg, seed);
+        let (nodes, coord) = Self::make_parts(cfg, seed);
         Self::over(Cluster::spawn_chaotic(nodes, policy), coord, cfg)
+    }
+
+    /// The pieces of one monitor: `(nodes, coordinator)` with the seeds and
+    /// behaviors every engine uses. All nodes share one
+    /// [`crate::params::NodeParams`] block (flat layout).
+    pub fn make_parts(cfg: MonitorConfig, seed: u64) -> (Vec<NodeMachine>, CoordinatorMachine) {
+        let params = crate::params::NodeParams::shared(&cfg);
+        let nodes = (0..cfg.n)
+            .map(|i| NodeMachine::new(NodeId(i as u32), &params, seed))
+            .collect();
+        (nodes, CoordinatorMachine::new(cfg))
     }
 
     pub(crate) fn over(cluster: Cluster<T>, coord: CoordinatorMachine, cfg: MonitorConfig) -> Self {
@@ -94,14 +109,14 @@ impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
         self.cluster.try_step_sparse(&mut self.coord, t, changes)
     }
 
-    /// Phase-attributed event counters of the coordinator — same accessor
-    /// surface as [`TopkMonitor::metrics`].
+    /// Phase-attributed event counters of the coordinator.
     pub fn metrics(&self) -> &RunMetrics {
         self.coord.metrics()
     }
 
-    /// Coordinator micro-rounds executed so far (all phases) — counted
-    /// identically to [`TopkMonitor::micro_rounds_run`].
+    /// Coordinator micro-rounds executed so far (all phases) — the
+    /// round-complexity witness, counted identically on every engine;
+    /// reset-phase rounds alone are in [`RunMetrics::reset_rounds`].
     pub fn micro_rounds_run(&self) -> u64 {
         self.cluster.micro_rounds_run()
     }
@@ -113,7 +128,8 @@ impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
 
     /// Transport-level synchronization frames sent so far (excluded from
     /// model cost), charged at dispatch intent: `#changed + #engaged` per
-    /// silent step, not `n`, and equal on every transport.
+    /// silent step, not `n`, and equal on both framed transports (the
+    /// sequential engine sends no frames: always 0).
     pub fn sync_frames(&self) -> u64 {
         self.cluster.ledger().sync_frames()
     }
@@ -124,7 +140,7 @@ impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
     }
 
     /// Shut down the nodes and return their final state machines (for
-    /// state-equality assertions against a sequential twin).
+    /// state-equality assertions against a twin).
     pub fn shutdown(self) -> Vec<NodeMachine> {
         self.cluster.shutdown()
     }
@@ -132,7 +148,12 @@ impl<T: Transport<Node = NodeMachine>> ClusterMonitor<T> {
 
 impl<T: Transport<Node = NodeMachine>> Monitor for ClusterMonitor<T> {
     fn name(&self) -> &'static str {
-        T::NAME
+        // The sequential engine keeps the algorithm's table name.
+        if T::DIRECT {
+            "topk-filter"
+        } else {
+            T::NAME
+        }
     }
 
     fn step(&mut self, t: u64, values: &[Value]) {

@@ -1,16 +1,14 @@
 //! The [`Monitor`] trait — the public face every monitoring algorithm
 //! (Algorithm 1, the baselines, the ordered extension) implements — and
-//! [`TopkMonitor`], Algorithm 1 assembled on the sequential runtime.
+//! [`TopkMonitor`], Algorithm 1 assembled on the sequential engine.
 
 use topk_net::behavior::ValueFeed;
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::LedgerSnapshot;
-use topk_net::seq::SyncRuntime;
+use topk_net::seq::DirectTransport;
 
-use crate::config::MonitorConfig;
-use crate::coordinator::CoordinatorMachine;
-use crate::events::{EventCursor, TopkEvent};
-use crate::metrics::RunMetrics;
+use crate::cluster::ClusterMonitor;
+use crate::events::TopkEvent;
 use crate::node::NodeMachine;
 
 /// A continuous top-k-position monitoring algorithm.
@@ -159,119 +157,35 @@ macro_rules! row_cache_step_sparse {
 }
 
 /// Algorithm 1 of the paper, assembled: `n` [`NodeMachine`]s and one
-/// [`CoordinatorMachine`] on the deterministic sequential runtime.
+/// [`crate::CoordinatorMachine`] on the sequential engine — the step driver
+/// over the direct-call transport, the sibling of
+/// [`crate::ThreadedTopkMonitor`] and [`crate::SocketTopkMonitor`].
 ///
 /// This is the *engine* type; new code should usually build a
 /// [`crate::session::MonitorSession`] via
 /// [`crate::session::MonitorBuilder`] instead of constructing engines
 /// directly — the session adds push-based ingestion, automatic dense/sparse
 /// routing, and the typed event stream on top of the identical execution.
-pub struct TopkMonitor {
-    rt: SyncRuntime<NodeMachine, CoordinatorMachine>,
-    cfg: MonitorConfig,
-    events: EventCursor,
-}
+pub type TopkMonitor = ClusterMonitor<DirectTransport<NodeMachine>>;
 
 impl TopkMonitor {
-    pub fn new(cfg: MonitorConfig, seed: u64) -> Self {
-        let (nodes, coord) = Self::make_parts(cfg, seed);
-        TopkMonitor {
-            rt: SyncRuntime::new(nodes, coord, cfg.k),
-            cfg,
-            events: EventCursor::default(),
-        }
-    }
-
-    /// Phase-attributed event counters of the coordinator.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.rt.coord().metrics()
-    }
-
-    /// The coordinator (tracker/threshold accessors for tests and tools).
-    pub fn coordinator(&self) -> &CoordinatorMachine {
-        self.rt.coord()
-    }
-
     /// Node states (test/debug introspection).
     pub fn nodes(&self) -> &[NodeMachine] {
-        self.rt.nodes()
-    }
-
-    /// Steps that exchanged no message.
-    pub fn silent_steps(&self) -> u64 {
-        self.rt.silent_steps()
-    }
-
-    /// Coordinator micro-rounds executed so far (all phases) — the runtime's
-    /// round-complexity witness; reset-phase rounds alone are in
-    /// [`RunMetrics::reset_rounds`].
-    pub fn micro_rounds_run(&self) -> u64 {
-        self.rt.micro_rounds_run()
+        self.cluster.nodes()
     }
 
     /// Total node `observe` calls — `O(#changed + #engaged)` per step on
     /// the sparse path, `n` per step only on the very first (init) step.
     pub fn observe_calls(&self) -> u64 {
-        self.rt.observe_calls()
+        self.cluster.observe_calls()
     }
 
-    /// The configuration this monitor runs.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
-    /// Build the pieces for a *threaded* execution of the same algorithm:
-    /// `(nodes, coordinator)` with identical seeds/behavior — used by the
-    /// threaded-equivalence test and the `threaded_cluster` example. All
-    /// nodes share one [`crate::params::NodeParams`] block (flat layout).
-    pub fn make_parts(cfg: MonitorConfig, seed: u64) -> (Vec<NodeMachine>, CoordinatorMachine) {
-        let params = crate::params::NodeParams::shared(&cfg);
-        let nodes = (0..cfg.n)
-            .map(|i| NodeMachine::new(NodeId(i as u32), &params, seed))
-            .collect();
-        (nodes, CoordinatorMachine::new(cfg))
-    }
-
-    /// Round-poll counter of the underlying runtime — the fire-round
-    /// calendar's cost witness: a protocol episode polls each participant
-    /// once (at its scheduled fire phase) plus the full-fanout rounds,
-    /// instead of every active participant every round.
+    /// Round-poll counter of the engine — the fire-round calendar's cost
+    /// witness: a protocol episode polls each participant once (at its
+    /// scheduled fire phase) plus the full-fanout rounds, instead of every
+    /// active participant every round.
     pub fn micro_polls(&self) -> u64 {
-        self.rt.micro_polls()
-    }
-}
-
-impl Monitor for TopkMonitor {
-    fn name(&self) -> &'static str {
-        "topk-filter"
-    }
-
-    fn step(&mut self, t: u64, values: &[Value]) {
-        self.rt.step(t, values);
-    }
-
-    fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        self.rt.step_sparse(t, changes);
-    }
-
-    fn topk(&self) -> Vec<NodeId> {
-        self.rt.topk().to_vec()
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        self.rt.ledger().snapshot()
-    }
-
-    fn n(&self) -> usize {
-        self.cfg.n
-    }
-
-    fn k(&self) -> usize {
-        self.cfg.k
-    }
-
-    fn drain_events(&mut self, t: u64, out: &mut Vec<TopkEvent>) {
-        self.events.drain(self.rt.coord(), t, out);
+        self.cluster.micro_polls()
     }
 }
 
@@ -311,36 +225,13 @@ pub fn is_eps_valid_topk(values: &[Value], set: &[NodeId], tol: Value) -> bool {
 /// `min_{i∈set} v_i ≥ max_{j∉set} v_j`. Unique ground truth ⇒ equality with
 /// [`topk_net::id::true_topk`]; boundary ties admit any valid choice.
 pub fn is_valid_topk(values: &[Value], set: &[NodeId]) -> bool {
-    if set.is_empty() {
-        return values.is_empty();
-    }
-    let mut member = vec![false; values.len()];
-    for id in set {
-        if id.idx() >= values.len() {
-            return false;
-        }
-        member[id.idx()] = true;
-    }
-    let min_in = values
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| member[*i])
-        .map(|(_, &v)| v)
-        .min()
-        .unwrap();
-    let max_out = values
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !member[*i])
-        .map(|(_, &v)| v)
-        .max()
-        .unwrap_or(0);
-    min_in >= max_out
+    is_eps_valid_topk(values, set, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MonitorConfig;
     use topk_net::id::true_topk;
 
     #[test]

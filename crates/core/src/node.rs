@@ -282,6 +282,9 @@ impl NodeBehavior for NodeMachine {
         self.id
     }
 
+    // Hot in the step driver's phase-0 loop, which is generic and so is
+    // compiled in whichever crate names the engine: let it inline there.
+    #[inline]
     fn observe(&mut self, _t: u64, value: Value) -> ObserveAction<UpMsg> {
         self.value = value;
         debug_assert!(

@@ -3,10 +3,10 @@
 //!
 //! The paper's model is event-driven: nodes *receive* new values, and the
 //! coordinator only learns what the filters let through. The engine types
-//! ([`TopkMonitor`], [`ThreadedTopkMonitor`]) still expose that inverted —
-//! the caller owns a dense value row (or hand-builds delta lists) and picks
-//! a concrete runtime up front. [`MonitorSession`] restores the paper's
-//! shape:
+//! ([`crate::TopkMonitor`], [`crate::ThreadedTopkMonitor`]) still expose
+//! that inverted — the caller owns a dense value row (or hand-builds delta
+//! lists) and picks a concrete engine up front. [`MonitorSession`] restores
+//! the paper's shape:
 //!
 //! ```
 //! use topk_core::session::MonitorBuilder;
@@ -42,17 +42,22 @@
 
 use topk_net::behavior::{CoordinatorBehavior as _, ValueFeed};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
+use topk_net::driver::Transport;
 use topk_net::id::{NodeId, Value};
-use topk_net::ledger::LedgerSnapshot;
+use topk_net::ledger::{LedgerSnapshot, WireMetrics};
+use topk_net::seq::DirectTransport;
+use topk_net::socket::TcpTransport;
+use topk_net::threaded::ChannelTransport;
 use topk_proto::extremum::BroadcastPolicy;
 
+use crate::cluster::ClusterMonitor;
 use crate::config::{ApproxMode, HandlerMode, MonitorConfig, ResetStrategy};
 use crate::coordinator::CoordinatorMachine;
 use crate::events::TopkEvent;
 use crate::metrics::RunMetrics;
-use crate::monitor::{Monitor, TopkMonitor};
+use crate::monitor::Monitor;
+use crate::node::NodeMachine;
 use crate::socket::SocketTopkMonitor;
-use crate::threaded::ThreadedTopkMonitor;
 
 /// Which runtime executes the protocol under a [`MonitorSession`].
 ///
@@ -68,10 +73,11 @@ pub enum Engine {
     /// change; use an explicit variant to pin a runtime.
     #[default]
     Auto,
-    /// The deterministic in-process runtime ([`TopkMonitor`]).
+    /// The deterministic in-process engine ([`crate::TopkMonitor`]): the
+    /// step driver calls the nodes in place.
     Sequential,
     /// One OS thread per node, crossbeam-channel frames
-    /// ([`ThreadedTopkMonitor`]) — the "real deployment" shape without
+    /// ([`crate::ThreadedTopkMonitor`]) — the "real deployment" shape without
     /// leaving the process.
     Threaded,
     /// Node shards behind loopback-TCP sockets, every message a
@@ -115,12 +121,16 @@ pub struct MonitorBuilder {
 }
 
 impl MonitorBuilder {
-    /// Monitor the top `k` of `n` nodes (`1 ≤ k ≤ n`). All other knobs
-    /// start at their [`MonitorConfig::new`] defaults, seed 0,
-    /// [`Engine::Auto`].
+    /// Monitor the top `k` of `n` nodes. All other knobs start at their
+    /// [`MonitorConfig::new`] defaults, seed 0, [`Engine::Auto`]. The size
+    /// is checked by [`Self::try_build`] (`n ≥ 1`, `1 ≤ k ≤ n`).
     pub fn new(n: usize, k: usize) -> Self {
         MonitorBuilder {
-            cfg: MonitorConfig::new(n, k),
+            cfg: MonitorConfig {
+                n,
+                k,
+                ..MonitorConfig::new(1, 1)
+            },
             seed: 0,
             engine: Engine::Auto,
             chaos: None,
@@ -221,29 +231,26 @@ impl MonitorBuilder {
     /// shard inherits the template's ε, so per-shard bands compose into
     /// the service-level guarantee.
     pub fn sized(&self, n: usize, k: usize) -> MonitorBuilder {
-        let mut cfg = MonitorConfig::new(n, k);
-        cfg.policy = self.cfg.policy;
-        cfg.handler_mode = self.cfg.handler_mode;
-        cfg.slack = self.cfg.slack;
-        cfg.reset = self.cfg.reset;
-        cfg.approx = self.cfg.approx;
         MonitorBuilder {
-            cfg,
-            seed: self.seed,
-            engine: self.engine,
-            chaos: self.chaos,
+            cfg: MonitorConfig { n, k, ..self.cfg },
+            ..self.clone()
         }
     }
 
     /// Assemble the session, or report why the knob combination is invalid.
     ///
-    /// Two combinations are rejected (see [`BuildError`]): an ε-band
-    /// narrower than the node-side hysteresis (`slack > ε` with approximate
-    /// mode enabled), and a [`ChaosPolicy`] on an explicitly selected
-    /// [`Engine::Sequential`] (no transport to fault). `ε < 0` needs no
-    /// check — the [`Self::epsilon`] knob takes a `u64`, so negative
-    /// tolerances are unrepresentable by construction.
+    /// Three cases are rejected (see [`BuildError`]): a size outside
+    /// `n ≥ 1`, `1 ≤ k ≤ n`; an ε-band narrower than the node-side
+    /// hysteresis (`slack > ε` with approximate mode enabled); and a
+    /// [`ChaosPolicy`] on an explicitly selected [`Engine::Sequential`] (no
+    /// transport to fault). `ε < 0` needs no check — the [`Self::epsilon`]
+    /// knob takes a `u64`, so negative tolerances are unrepresentable by
+    /// construction.
     pub fn try_build(&self) -> Result<MonitorSession, BuildError> {
+        let MonitorConfig { n, k, .. } = self.cfg;
+        if n == 0 || k == 0 || k > n {
+            return Err(BuildError::InvalidSize { n, k });
+        }
         if let ApproxMode::Band { epsilon } = self.cfg.approx {
             if self.cfg.slack > epsilon {
                 return Err(BuildError::SlackExceedsEpsilon {
@@ -273,28 +280,10 @@ impl MonitorBuilder {
     }
 
     fn assemble(&self) -> MonitorSession {
-        let engine = if let Some(policy) = self.chaos {
-            match self.engine.resolve() {
-                Engine::Socket => EngineImpl::Socket(Box::new(SocketTopkMonitor::new_chaotic(
-                    self.cfg, self.seed, policy,
-                ))),
-                _ => EngineImpl::Threaded(Box::new(ThreadedTopkMonitor::new_chaotic(
-                    self.cfg, self.seed, policy,
-                ))),
-            }
-        } else {
-            match self.engine.resolve() {
-                Engine::Sequential => {
-                    EngineImpl::Sequential(Box::new(TopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Threaded => {
-                    EngineImpl::Threaded(Box::new(ThreadedTopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Socket => {
-                    EngineImpl::Socket(Box::new(SocketTopkMonitor::new(self.cfg, self.seed)))
-                }
-                Engine::Auto => unreachable!("resolve never returns Auto"),
-            }
+        let engine = match (self.engine.resolve(), self.chaos) {
+            (Engine::Socket, _) => self.boxed::<TcpTransport<_>>(),
+            (Engine::Threaded, _) | (_, Some(_)) => self.boxed::<ChannelTransport<_>>(),
+            _ => self.boxed::<DirectTransport<_>>(),
         };
         MonitorSession {
             engine,
@@ -317,6 +306,13 @@ impl MonitorBuilder {
             feed_scratch: Vec::new(),
         }
     }
+
+    fn boxed<T: SessionTransport>(&self) -> Box<dyn SessionEngine> {
+        Box::new(match self.chaos {
+            Some(policy) => ClusterMonitor::<T>::new_chaotic(self.cfg, self.seed, policy),
+            None => ClusterMonitor::<T>::new(self.cfg, self.seed),
+        })
+    }
 }
 
 /// Why a [`MonitorBuilder`] knob combination cannot be assembled into a
@@ -324,6 +320,8 @@ impl MonitorBuilder {
 /// [`MonitorBuilder::build`] panics with the same message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildError {
+    /// The size is outside `n ≥ 1`, `1 ≤ k ≤ n`.
+    InvalidSize { n: usize, k: usize },
     /// ε-approximate mode requires the node-side hysteresis to stay inside
     /// the coordinator's band: `slack ≤ ε`. The coordinator certifies a
     /// band hit from the extrema the filters report; with `slack > ε`
@@ -331,7 +329,7 @@ pub enum BuildError {
     /// voiding the ε-indistinguishability guarantee.
     SlackExceedsEpsilon { slack: u64, epsilon: u64 },
     /// A [`ChaosPolicy`] was combined with an explicitly selected
-    /// [`Engine::Sequential`]: the sequential runtime has no transport
+    /// [`Engine::Sequential`]: its direct-call transport has no chaos
     /// layer to inject faults into. Pick [`Engine::Threaded`],
     /// [`Engine::Socket`], or leave [`Engine::Auto`] (which falls back to
     /// the threaded runtime under chaos).
@@ -341,6 +339,9 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            BuildError::InvalidSize { n, k } => {
+                write!(f, "size n={n}, k={k} outside n ≥ 1, 1 ≤ k ≤ n")
+            }
             BuildError::SlackExceedsEpsilon { slack, epsilon } => write!(
                 f,
                 "slack {slack} exceeds the ε-band width {epsilon}; \
@@ -357,55 +358,77 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The resolved engine behind a session. Every engine is sizeable (the
-/// threaded and socket ones especially, with thread handles and socket
-/// state), so they live behind boxes to keep the session handle itself
-/// small.
-enum EngineImpl {
-    Sequential(Box<TopkMonitor>),
-    Threaded(Box<ThreadedTopkMonitor>),
-    Socket(Box<SocketTopkMonitor>),
+/// A transport a session can run [`ClusterMonitor`] on, tagged with its
+/// [`Engine`].
+trait SessionTransport: Transport<Node = NodeMachine> + 'static {
+    const ENGINE: Engine;
+
+    /// The physical wire ledger, on the engine that has one.
+    fn wire(_monitor: &ClusterMonitor<Self>) -> Option<&WireMetrics> {
+        None
+    }
 }
 
-impl EngineImpl {
-    fn monitor_mut(&mut self) -> &mut dyn Monitor {
-        match self {
-            EngineImpl::Sequential(m) => m.as_mut(),
-            EngineImpl::Threaded(m) => m.as_mut(),
-            EngineImpl::Socket(m) => m.as_mut(),
-        }
-    }
+impl SessionTransport for DirectTransport<NodeMachine> {
+    const ENGINE: Engine = Engine::Sequential;
+}
 
+impl SessionTransport for ChannelTransport<NodeMachine> {
+    const ENGINE: Engine = Engine::Threaded;
+}
+
+impl SessionTransport for TcpTransport<NodeMachine> {
+    const ENGINE: Engine = Engine::Socket;
+
+    fn wire(monitor: &SocketTopkMonitor) -> Option<&WireMetrics> {
+        Some(monitor.wire())
+    }
+}
+
+/// The session's view of its engine, whichever transport it runs on.
+trait SessionEngine: Monitor {
+    fn coordinator(&self) -> &CoordinatorMachine;
+    fn silent_steps(&self) -> u64;
+    fn micro_rounds_run(&self) -> u64;
+    fn recovery(&self) -> Option<&RecoveryMetrics>;
+    fn sync_frames(&self) -> Option<u64>;
+    fn wire(&self) -> Option<&WireMetrics>;
+    fn engine(&self) -> Engine;
+    fn into_monitor(self: Box<Self>) -> Box<dyn Monitor>;
+}
+
+impl<T: SessionTransport> SessionEngine for ClusterMonitor<T> {
     fn coordinator(&self) -> &CoordinatorMachine {
-        match self {
-            EngineImpl::Sequential(m) => m.coordinator(),
-            EngineImpl::Threaded(m) => m.coordinator(),
-            EngineImpl::Socket(m) => m.coordinator(),
-        }
-    }
-
-    fn ledger(&self) -> LedgerSnapshot {
-        match self {
-            EngineImpl::Sequential(m) => m.ledger(),
-            EngineImpl::Threaded(m) => m.ledger(),
-            EngineImpl::Socket(m) => m.ledger(),
-        }
+        ClusterMonitor::coordinator(self)
     }
 
     fn silent_steps(&self) -> u64 {
-        match self {
-            EngineImpl::Sequential(m) => m.silent_steps(),
-            EngineImpl::Threaded(m) => m.silent_steps(),
-            EngineImpl::Socket(m) => m.silent_steps(),
-        }
+        ClusterMonitor::silent_steps(self)
     }
 
     fn micro_rounds_run(&self) -> u64 {
-        match self {
-            EngineImpl::Sequential(m) => m.micro_rounds_run(),
-            EngineImpl::Threaded(m) => m.micro_rounds_run(),
-            EngineImpl::Socket(m) => m.micro_rounds_run(),
-        }
+        ClusterMonitor::micro_rounds_run(self)
+    }
+
+    // The sequential engine has no transport layer to fault or frame.
+    fn recovery(&self) -> Option<&RecoveryMetrics> {
+        (!T::DIRECT).then(|| ClusterMonitor::recovery(self))
+    }
+
+    fn sync_frames(&self) -> Option<u64> {
+        (!T::DIRECT).then(|| ClusterMonitor::sync_frames(self))
+    }
+
+    fn wire(&self) -> Option<&WireMetrics> {
+        T::wire(self)
+    }
+
+    fn engine(&self) -> Engine {
+        T::ENGINE
+    }
+
+    fn into_monitor(self: Box<Self>) -> Box<dyn Monitor> {
+        self
     }
 }
 
@@ -423,7 +446,9 @@ impl EngineImpl {
 /// actually communicates is decided by the filters, exactly as in the
 /// paper, and is what [`ledger`](Self::ledger) counts.
 pub struct MonitorSession {
-    engine: EngineImpl,
+    /// Boxed to keep the session handle small (the threaded and socket
+    /// engines carry thread handles and socket state).
+    engine: Box<dyn SessionEngine>,
     cfg: MonitorConfig,
     /// Committed value row (updated by the commit itself, so it always
     /// mirrors what the engine has seen).
@@ -523,11 +548,11 @@ impl MonitorSession {
         if first || self.dense_pending || 2 * self.pending.len() > self.cfg.n {
             // Dense diff (and the mandatory dense first step).
             let row = std::mem::take(&mut self.row);
-            self.engine.monitor_mut().step(t, &row);
+            self.engine.step(t, &row);
             self.row = row;
         } else {
             let pending = std::mem::take(&mut self.pending);
-            self.engine.monitor_mut().step_sparse(t, &pending);
+            self.engine.step_sparse(t, &pending);
             self.pending = pending;
         }
         self.started = true;
@@ -539,7 +564,7 @@ impl MonitorSession {
         // Protocol-level events straight from the monitor's cursor.
         self.events.clear();
         let mut events = std::mem::take(&mut self.events);
-        self.engine.monitor_mut().drain_events(t, &mut events);
+        self.engine.drain_events(t, &mut events);
         self.events = events;
 
         // Membership / rank events, derived — but only when they can have
@@ -720,21 +745,14 @@ impl MonitorSession {
     /// sequential engine; all-zero on a threaded or socket engine without a
     /// [`ChaosPolicy`]).
     pub fn recovery(&self) -> Option<&RecoveryMetrics> {
-        match &self.engine {
-            EngineImpl::Sequential(_) => None,
-            EngineImpl::Threaded(m) => Some(m.recovery()),
-            EngineImpl::Socket(m) => Some(m.recovery()),
-        }
+        self.engine.recovery()
     }
 
     /// The physical wire ledger (`None` on the in-process engines; the
     /// socket engine counts every frame and byte it writes, per channel).
     /// The same block is mirrored into [`RunMetrics::wire`] at each step.
-    pub fn wire(&self) -> Option<&topk_net::ledger::WireMetrics> {
-        match &self.engine {
-            EngineImpl::Sequential(_) | EngineImpl::Threaded(_) => None,
-            EngineImpl::Socket(m) => Some(m.wire()),
-        }
+    pub fn wire(&self) -> Option<&WireMetrics> {
+        self.engine.wire()
     }
 
     /// Message counters (model cost).
@@ -764,11 +782,7 @@ impl MonitorSession {
 
     /// The engine this session resolved to.
     pub fn engine(&self) -> Engine {
-        match self.engine {
-            EngineImpl::Sequential(_) => Engine::Sequential,
-            EngineImpl::Threaded(_) => Engine::Threaded,
-            EngineImpl::Socket(_) => Engine::Socket,
-        }
+        self.engine.engine()
     }
 
     /// The last committed time step.
@@ -791,11 +805,7 @@ impl MonitorSession {
     /// transport layer). Charged at dispatch intent on both transports, so
     /// the threaded and socket counts are bit-identical.
     pub fn sync_frames(&self) -> Option<u64> {
-        match &self.engine {
-            EngineImpl::Sequential(_) => None,
-            EngineImpl::Threaded(m) => Some(m.sync_frames()),
-            EngineImpl::Socket(m) => Some(m.sync_frames()),
-        }
+        self.engine.sync_frames()
     }
 
     /// Capacity of the reusable event buffer — the zero-alloc steady-state
@@ -808,17 +818,14 @@ impl MonitorSession {
     /// Tear the session down, returning the underlying [`Monitor`] (joins
     /// node threads on the threaded engine via its `Drop`).
     pub fn into_monitor(self) -> Box<dyn Monitor> {
-        match self.engine {
-            EngineImpl::Sequential(m) => m,
-            EngineImpl::Threaded(m) => m,
-            EngineImpl::Socket(m) => m,
-        }
+        self.engine.into_monitor()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::TopkMonitor;
     use topk_net::id::true_topk;
 
     fn drain_to_vec(events: &[TopkEvent]) -> Vec<TopkEvent> {
@@ -885,6 +892,25 @@ mod tests {
     }
 
     #[test]
+    fn try_build_rejects_invalid_size() {
+        for (n, k) in [(0, 0), (0, 1), (4, 0), (4, 5)] {
+            let err = match MonitorBuilder::new(n, k).try_build() {
+                Err(e) => e,
+                Ok(_) => panic!("n={n}, k={k} must be rejected"),
+            };
+            assert_eq!(err, BuildError::InvalidSize { n, k });
+            assert!(!err.to_string().is_empty());
+        }
+        // `sized` retargets without panicking; the check stays in try_build.
+        let template = MonitorBuilder::new(8, 2);
+        assert_eq!(
+            template.sized(3, 4).try_build().err(),
+            Some(BuildError::InvalidSize { n: 3, k: 4 })
+        );
+        assert!(template.sized(4, 4).try_build().is_ok());
+    }
+
+    #[test]
     fn try_build_rejects_chaos_on_explicit_sequential() {
         let policy = ChaosPolicy::from_seed(5);
         let err = match MonitorBuilder::new(4, 1)
@@ -905,6 +931,12 @@ mod tests {
     #[should_panic(expected = "invalid monitor configuration")]
     fn build_panics_on_invalid_combination() {
         let _ = MonitorBuilder::new(8, 2).epsilon(1).slack(2).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid monitor configuration")]
+    fn build_panics_on_invalid_size() {
+        let _ = MonitorBuilder::new(2, 3).build();
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Behavior traits shared by the sequential simulator and the threaded
-//! runtime.
+//! Behavior traits every engine drives (sequential, threaded, socket).
 //!
 //! The paper's model is synchronous: at each time step every node observes a
 //! new value, then an arbitrary multi-round protocol runs "between t and
@@ -18,9 +17,10 @@
 //! which is a pure wall-clock optimization: a disengaged node's
 //! `micro_round` is required to be a no-op (no state change, no RNG use).
 //!
-//! Both runtimes drive the *same* state machines through these traits, so a
-//! single integration test pins their ledgers equal, and every experiment
-//! can use the fast sequential path.
+//! Every engine drives the *same* state machines through these traits with
+//! the one step driver ([`crate::driver::Cluster`]), so a single
+//! integration test pins their ledgers equal, and every experiment can use
+//! the fast sequential engine.
 //!
 //! # Sparse stepping
 //!
@@ -29,7 +29,7 @@
 //! that opts in via [`NodeBehavior::SPARSE_OBSERVE`] guarantees that
 //! `observe(t, v)` with `v` equal to the previous observation, on a node
 //! that ended the last step disengaged, is a no-op — so the runtime may
-//! skip the call entirely. [`crate::seq::SyncRuntime::step_sparse`] then
+//! skip the call entirely. [`crate::driver::Cluster::step_sparse`] then
 //! visits only nodes whose value changed plus the persistent engaged set,
 //! for per-step cost `O(#changed + #engaged)` instead of `O(n)`, and
 //! [`ValueFeed::fill_delta`] lets generators produce only the movers.

@@ -1,20 +1,14 @@
 //! [`FireCalendar`] — the runtime-side half of the fire-round calendar
-//! contract ([`crate::behavior::RoundAction::wake_at`]), shared by the
-//! sequential runtime ([`crate::seq::SyncRuntime`]) and the distributed
-//! step driver ([`crate::driver::Cluster`]).
+//! contract ([`crate::behavior::RoundAction::wake_at`]), kept by the step
+//! driver ([`crate::driver::Cluster`]) for every engine.
 //!
 //! A node that announces its wake phase is bucketed under it and dropped
 //! from the per-round poll set; each micro-round then visits only the
 //! engaged every-round pollers plus **that round's scheduled firers**
 //! (plus addressees), so a protocol round costs `O(#senders)` instead of
 //! `O(#active participants)`. Broadcasts a scheduled node skips are
-//! replayed from the step's broadcast log (owned by the runtime) at its
+//! replayed from the step's broadcast log (owned by the driver) at its
 //! next poll — the calendar tracks the per-node log cursor.
-//!
-//! Both runtimes must resolve schedules identically or their bit-identity
-//! breaks; keeping the bucket/cursor bookkeeping in this one type keeps
-//! them in lockstep by construction, exactly like [`crate::delta::DeltaRow`]
-//! does for the sparse-observation contract.
 //!
 //! All storage is reused across rounds and steps: buckets keep their
 //! capacity, per-node arrays are fixed-size, and a step that never
@@ -57,10 +51,11 @@ impl FireCalendar {
         self.live == 0
     }
 
-    /// Whether node `i` currently holds a calendar entry.
+    /// Whether node `i` currently holds a calendar entry (no per-node read
+    /// while the calendar is empty).
     #[inline]
     pub fn is_scheduled(&self, i: u32) -> bool {
-        self.sched_phase[i as usize] != NONE
+        self.live > 0 && self.sched_phase[i as usize] != NONE
     }
 
     /// The broadcast-log cursor of node `i` (meaningful while scheduled):
@@ -68,15 +63,6 @@ impl FireCalendar {
     #[inline]
     pub fn seen(&self, i: u32) -> usize {
         self.seen[i as usize] as usize
-    }
-
-    /// Whether any node is due exactly at `phase`.
-    pub fn has_due(&self, phase: u32) -> bool {
-        self.live > 0
-            && self
-                .buckets
-                .get(phase as usize)
-                .is_some_and(|b| b.iter().any(|&i| self.sched_phase[i as usize] == phase))
     }
 
     /// Append the indices due at `phase` to `out` (unsorted — callers merge
@@ -160,16 +146,19 @@ mod tests {
         assert!(!cal.is_empty());
         assert!(cal.is_scheduled(3) && cal.is_scheduled(7));
         assert!(!cal.is_scheduled(0));
-        assert!(cal.has_due(2) && cal.has_due(5) && !cal.has_due(4));
-
-        let mut due = Vec::new();
-        cal.due_into(5, &mut due);
-        assert_eq!(due, vec![3, 1]);
+        let due_at = |cal: &FireCalendar, phase| {
+            let mut due = Vec::new();
+            cal.due_into(phase, &mut due);
+            due
+        };
+        assert_eq!(due_at(&cal, 2), vec![7]);
+        assert_eq!(due_at(&cal, 5), vec![3, 1]);
+        assert!(due_at(&cal, 4).is_empty());
 
         // Node 7 is polled at its phase and stays quiet: resolved.
         cal.note_poll(7, None, 2, 1);
         assert!(!cal.is_scheduled(7));
-        assert!(!cal.has_due(2));
+        assert!(due_at(&cal, 2).is_empty());
     }
 
     #[test]

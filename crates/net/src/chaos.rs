@@ -389,9 +389,9 @@ impl RecoveryMetrics {
     }
 }
 
-/// Typed failure of the threaded or socket runtime (a panicked node
-/// thread, a reply deadline exhausted beyond the retry budget, a failed
-/// restart, or a broken socket transport) — surfaced instead of an
+/// Typed failure of a step (a panicked node thread, a reply deadline
+/// exhausted beyond the retry budget, a failed restart, a broken or
+/// unsupported transport, or a runaway protocol) — surfaced instead of an
 /// `unwrap` panic or a hung `recv` in the driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
@@ -403,8 +403,9 @@ pub enum RuntimeError {
     ReplyTimeout { t: u64, m: u32, waiting: usize },
     /// Coordinator snapshot restore failed during crash recovery.
     RecoveryFailed { reason: &'static str },
-    /// The socket transport failed outside any single node's fault domain
-    /// (listener setup, accept, handshake, or reconnect).
+    /// The transport failed outside any single node's fault domain (socket
+    /// listener setup, accept, handshake, or reconnect), or cannot run as
+    /// asked (a chaos policy on the direct transport).
     Transport { what: String },
     /// The coordinator ran more than `guard` micro-rounds in step `t`
     /// without finishing — its protocol failed to terminate.
@@ -424,7 +425,7 @@ impl std::fmt::Display for RuntimeError {
                 write!(f, "coordinator recovery failed: {reason}")
             }
             RuntimeError::Transport { what } => {
-                write!(f, "socket transport failed: {what}")
+                write!(f, "transport failed: {what}")
             }
             RuntimeError::GuardExceeded { t, guard } => write!(
                 f,

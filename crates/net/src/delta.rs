@@ -1,14 +1,11 @@
-//! [`DeltaRow`] — the driver-side cached value row shared by the
-//! sequential runtime ([`crate::seq::SyncRuntime`]) and the distributed
-//! step driver ([`crate::driver::Cluster`]) in their delta-driven entry
-//! points.
+//! [`DeltaRow`] — the step driver's cached value row
+//! ([`crate::driver::Cluster`]), behind its delta-driven entry points.
 //!
-//! Both runtimes accept the same two drives — dense rows (`step`) and
-//! `fill_delta` change-lists (`step_sparse`) — and both must enforce the
-//! same entry invariants (sorted unique ids, dense first step) and produce
-//! the same effective change set, or their bit-identity breaks. Keeping the
-//! diff, the validation, and the superset filtering in this one type keeps
-//! the runtimes in lockstep by construction.
+//! Every engine accepts the same two drives — dense rows (`step`) and
+//! `fill_delta` change-lists (`step_sparse`) — and must enforce the same
+//! entry invariants (sorted unique ids, dense first step) and produce the
+//! same effective change set, or their bit-identity breaks. This one type
+//! holds the diff, the validation and the superset filtering.
 
 use crate::id::{NodeId, Value};
 
@@ -120,10 +117,7 @@ impl DeltaRow {
 /// either stream, in ascending order, with the payload when `left` holds
 /// that id.
 ///
-/// This is **the** node-phase visit rule of every runtime — phase 0 visits
-/// changed ∪ engaged, a broadcast-free micro-round visits addressees ∪
-/// engaged. Sharing the merge keeps the rule single-sourced, like the
-/// diff/filter logic in [`DeltaRow`].
+/// The step driver's phase-0 visit rule: changed ∪ engaged.
 pub fn merge_visit<P>(left: &[(NodeId, P)], right: &[u32], mut visit: impl FnMut(u32, Option<&P>)) {
     debug_assert!(left.windows(2).all(|w| w[0].0 < w[1].0));
     debug_assert!(right.windows(2).all(|w| w[0] < w[1]));

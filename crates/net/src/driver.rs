@@ -1,19 +1,20 @@
-//! The coordinator-side step driver shared by the threaded and the socket
-//! runtime: one [`Cluster`] over a small [`Transport`] trait.
+//! The one coordinator-side step driver of every engine: one [`Cluster`]
+//! over a small [`Transport`] trait.
 //!
 //! The paper's model is one coordinator and `n` nodes exchanging messages
-//! in synchronous rounds; how the bytes move is not part of it. This module
-//! owns everything about a step that does not depend on the transport:
+//! in synchronous rounds; how a message reaches a node is not part of it.
+//! This module owns everything about a step that does not depend on the
+//! transport:
 //!
 //! * **node-phase 0** — for behaviors that opt into
 //!   [`NodeBehavior::SPARSE_OBSERVE`], only *changed* nodes receive an
 //!   observation carrying their new value; *engaged* nodes whose value did
-//!   not move receive a value-less observe frame and replay the observation
-//!   against the value cached node-side. The driver keeps its own cached
-//!   row ([`DeltaRow`]), so the dense [`Cluster::step`] is a thin diff and
-//!   [`Cluster::step_sparse`] consumes change-lists directly. A step whose
-//!   phase 0 produced no message and left nothing engaged takes the
-//!   coordinator's silent fast path.
+//!   not move replay the value they observed last (a value-less observe
+//!   frame on a framed transport, the driver's cached row on the direct
+//!   one). The driver keeps that cached row ([`DeltaRow`]), so the dense
+//!   [`Cluster::step`] is a thin diff and [`Cluster::step_sparse`] consumes
+//!   change-lists directly. A step whose phase 0 produced no message and
+//!   left nothing engaged takes the coordinator's silent fast path.
 //! * **micro-rounds** — the coordinator loop, charging every unicast and
 //!   broadcast to the model ledger, bounded by the runaway guard
 //!   [`max_micro_rounds`]`(n, k)` (overrunning it is a typed
@@ -21,15 +22,16 @@
 //! * **the visit rule** — a [`RoundScope::All`] broadcast reaches everyone;
 //!   otherwise only engaged nodes, the [`FireCalendar`] entries due this
 //!   phase, unicast addressees and the [`RoundScope::EngagedPlus`]
-//!   addressee are framed. A scheduled node's frame replays every broadcast
-//!   since its last poll from the step's broadcast log. `sync_frames`
-//!   therefore counts `O(#changed + #engaged)` per silent step, while the
-//!   model ledger stays bit-identical to [`crate::seq::SyncRuntime`].
-//! * **collection** — replies are matched against the wave key
-//!   `(t, run, m)`, ups are handed to the coordinator in node-id order, and
-//!   the engaged list and calendar are rebuilt from the repliers. A dead
-//!   node surfaces as [`RuntimeError::NodeDown`]; a clean transport gives
-//!   up on a wave that stays silent for 30 s with
+//!   addressee are visited, in ascending id order. A scheduled node's work
+//!   replays every broadcast since its last poll from the step's broadcast
+//!   log. A silent step therefore costs `O(#changed + #engaged)` visits
+//!   (and `sync_frames` on a framed transport), not `n`.
+//! * **reply bookkeeping** — each reply resolves or re-creates its node's
+//!   calendar entry, rebuilds the engaged list and charges its up-message;
+//!   ups reach the coordinator in node-id order. On a framed transport
+//!   replies are matched against the wave key `(t, run, m)`; a dead node
+//!   surfaces as [`RuntimeError::NodeDown`], and a clean transport gives up
+//!   on a wave that stays silent for 30 s with
 //!   [`RuntimeError::ReplyTimeout`] instead of hanging.
 //! * **chaos and recovery** — under a [`ChaosPolicy`] a frame's first
 //!   delivery may be dropped, delayed past its wave, duplicated or
@@ -45,11 +47,16 @@
 //!   and re-runs the whole step under a fresh `run` number — safe because
 //!   protocol rounds are Las Vegas.
 //!
-//! A [`Transport`] keeps only what really differs between runtimes: how a
-//! unit of work becomes a frame, how frames and replies move, its wire
-//! ledger and taps, and (for sockets) sever/reconnect. The node side of
-//! both transports shares `NodeCell`: the `(t, run, m)` cursor, the reply
-//! cache and the step-start checkpoint of one node.
+//! A [`Transport`] keeps only what really differs between engines: how a
+//! unit of work reaches a node and how its reply comes back. The direct
+//! transport ([`crate::seq::DirectTransport`]) calls the node in place from
+//! the visit loop and its reply is booked at once — no frames, no reply
+//! wait, no `sync_frames`, no chaos layer. The framed transports
+//! ([`crate::threaded::ChannelTransport`], [`crate::socket::TcpTransport`])
+//! encode frames, move them and their replies, keep a wire ledger and taps
+//! (sockets) and sever/reconnect; their node side shares `NodeCell`: the
+//! cached value, the `(t, run, m)` cursor, the reply cache and the
+//! step-start checkpoint of one node.
 
 use crossbeam::channel::RecvTimeoutError;
 use std::time::{Duration, Instant};
@@ -113,19 +120,37 @@ pub struct Reply<U> {
     pub up_bytes: u64,
 }
 
-/// How work frames and replies move between the driver and the nodes.
+/// How work reaches the nodes and how their replies come back.
 ///
-/// A transport groups nodes into *links* (one per node thread, or one per
-/// shard connection); abort waves and liveness checks are per link.
-/// Sending is two-phase: [`Transport::encode`] frames one unit of work as
-/// the transport's *current frame*, then [`Transport::write`] sends it —
-/// so the driver can [`Transport::keep`] a copy for re-delivery first.
+/// A *direct* transport ([`Transport::DIRECT`]) runs each unit of work in
+/// place through [`Transport::call`]; the driver never uses its framing
+/// methods. Every other transport is *framed*: it groups nodes into
+/// *links* (one per node thread, or one per shard connection), and abort
+/// waves and liveness checks are per link. Sending is two-phase:
+/// [`Transport::encode`] frames one unit of work as the transport's
+/// *current frame*, then [`Transport::write`] sends it — so the driver can
+/// [`Transport::keep`] a copy for re-delivery first.
 pub trait Transport: Sized + Send {
     type Node: NodeBehavior;
     /// A kept copy of an encoded work frame (for retries and delays).
     type Frame: Send;
     /// Runtime name used in panic messages.
     const NAME: &'static str;
+    /// `true` for a transport that calls the nodes in place.
+    const DIRECT: bool = false;
+
+    /// Run `work` on node `i` at node-phase `m` of step `t` and return its
+    /// reply (direct transports only). A phase-0 observe always carries
+    /// its value: the driver resolves unchanged values from its own row.
+    fn call(
+        &mut self,
+        _t: u64,
+        _m: u32,
+        _i: u32,
+        _work: Work<'_, <Self::Node as NodeBehavior>::Down>,
+    ) -> ReplyBody<<Self::Node as NodeBehavior>::Up> {
+        unreachable!("{} is a framed transport", Self::NAME)
+    }
 
     /// Start one link per group of `nodes` (dense, id-ordered).
     /// `recoverable` (set under a [`ChaosPolicy`]) selects the node side
@@ -172,6 +197,20 @@ pub trait Transport: Sized + Send {
 type Up<T> = <<T as Transport>::Node as NodeBehavior>::Up;
 type Down<T> = <<T as Transport>::Node as NodeBehavior>::Down;
 
+/// Node-phase 0 of one step, as the driver visits it.
+#[derive(Clone, Copy)]
+enum Phase0<'a> {
+    /// Every node observes its entry of the row (non-sparse behaviors and
+    /// the very first step).
+    Dense(&'a [Value]),
+    /// Changed nodes observe their new value; engaged nodes whose value did
+    /// not move replay it (`row` is the driver's cached row).
+    Delta {
+        changes: &'a [(NodeId, Value)],
+        row: &'a [Value],
+    },
+}
+
 /// Internal outcome of one step attempt.
 enum AttemptError {
     /// Injected coordinator crash — recover and re-run the step.
@@ -190,20 +229,19 @@ pub struct Cluster<T: Transport> {
     /// replies (every engaged node is visited every phase, so the engaged
     /// set after a phase is exactly its engaged repliers).
     engaged_idx: Vec<u32>,
-    /// Scratch for rebuilding `engaged_idx` (swapped each phase).
+    /// The engaged repliers of the in-flight wave (swapped into
+    /// `engaged_idx` when it ends).
     engaged_scratch: Vec<u32>,
-    /// Scratch: visit list of a micro-round.
+    /// Scratch: the id list a wave visits (phase 0's changed ∪ engaged, or
+    /// a micro-round without full fan-out).
     visit_scratch: Vec<u32>,
     /// Fire-round calendar: nodes that announced their wake phase, plus
-    /// their broadcast-log replay cursors (mirrors the sequential runtime).
+    /// their broadcast-log replay cursors.
     calendar: FireCalendar,
     /// All broadcasts of the current step in emission order.
     bcast_log: Vec<Down<T>>,
     /// Driver-side cached value row (see [`crate::delta`]).
     delta_row: DeltaRow,
-    /// Phase-0 visits of the current step, `(id, Some(new value) |
-    /// cached)` — kept so a step re-run re-delivers identical observations.
-    phase0: Vec<(u32, Option<Value>)>,
     /// Scratch: up-messages of the current node-phase.
     ups_scratch: Vec<(NodeId, Up<T>)>,
     /// Scratch: coordinator output, reused across micro-rounds.
@@ -221,11 +259,11 @@ pub struct Cluster<T: Transport> {
     /// Remaining injected-crash budget for the current step.
     crashes_left: u32,
     /// Per-node "reply outstanding" flags for the in-flight wave (per-link
-    /// ack flags during an abort wave).
+    /// ack flags during an abort wave); empty on a direct transport.
     pending_mask: Vec<bool>,
     pending_count: usize,
     /// Reply-drop already injected for (this wave, node) — at most one per
-    /// wave so retries always converge.
+    /// wave so retries always converge; empty without chaos.
     reply_dropped: Vec<bool>,
     /// Frames of the in-flight wave (chaos only), kept for re-delivery.
     wave: Vec<(u32, T::Frame)>,
@@ -289,7 +327,6 @@ impl<T: Transport> Cluster<T> {
             // The cached row backs diffing/sparse stepping only; non-sparse
             // behaviors never read it, so don't pay for it.
             delta_row: DeltaRow::new(n, <T::Node as NodeBehavior>::SPARSE_OBSERVE),
-            phase0: Vec::new(),
             ups_scratch: Vec::new(),
             out: CoordOut::empty(),
             ledger: CommLedger::new(),
@@ -300,9 +337,9 @@ impl<T: Transport> Cluster<T> {
             recovery: RecoveryMetrics::default(),
             run: 0,
             crashes_left: 0,
-            pending_mask: vec![false; n],
+            pending_mask: vec![false; if T::DIRECT { 0 } else { n }],
             pending_count: 0,
-            reply_dropped: vec![false; n],
+            reply_dropped: vec![false; if chaos.is_some() { n } else { 0 }],
             wave: Vec::new(),
             delayed: Vec::new(),
             engaged_mark: Vec::new(),
@@ -313,7 +350,7 @@ impl<T: Transport> Cluster<T> {
 
     /// Size the runaway-protocol guard for a protocol monitoring the top
     /// `k` (the guard is [`max_micro_rounds`]`(n, k)` micro-rounds per
-    /// step, as in [`crate::seq::SyncRuntime::new`]). Defaults to `k = n`.
+    /// step). Defaults to `k = n`.
     pub fn guard_k(mut self, k: usize) -> Self {
         self.guard = max_micro_rounds(self.n(), k);
         self
@@ -336,9 +373,8 @@ impl<T: Transport> Cluster<T> {
         self.silent_steps
     }
 
-    /// Coordinator micro-rounds driven so far — counted exactly like
-    /// [`crate::seq::SyncRuntime::micro_rounds_run`], so every runtime
-    /// exposes one round-complexity witness to the session layer.
+    /// Coordinator micro-rounds driven so far — the round-complexity
+    /// witness every engine exposes to the session layer.
     pub fn micro_rounds_run(&self) -> u64 {
         self.micro_rounds_run
     }
@@ -390,17 +426,21 @@ impl<T: Transport> Cluster<T> {
     {
         assert_eq!(values.len(), self.n(), "one value per node");
         let mut dr = std::mem::take(&mut self.delta_row);
-        if <T::Node as NodeBehavior>::SPARSE_OBSERVE && dr.is_valid() {
+        let phase0 = if <T::Node as NodeBehavior>::SPARSE_OBSERVE && dr.is_valid() {
             dr.diff(values);
-            self.visit_phase0(dr.last_delta());
+            Phase0::Delta {
+                changes: dr.last_delta(),
+                row: dr.row(),
+            }
         } else {
             if <T::Node as NodeBehavior>::SPARSE_OBSERVE {
                 dr.prime(values);
             }
-            self.dense_phase0(values);
-        }
+            Phase0::Dense(values)
+        };
+        let res = self.run_step(coord, t, phase0);
         self.delta_row = dr;
-        self.run_step(coord, t)
+        res
     }
 
     /// Panicking wrapper of [`Cluster::try_step_sparse`].
@@ -414,14 +454,14 @@ impl<T: Transport> Cluster<T> {
 
     /// Execute one step given only the values that changed since `t − 1`
     /// (ascending ids, at most one entry per node; repeating an unchanged
-    /// value is permitted and costs no frame — entries are filtered
-    /// against the driver's cached row). Requires
-    /// [`NodeBehavior::SPARSE_OBSERVE`]. The first step must carry all `n`
-    /// nodes (there is no previous row yet).
+    /// value is permitted and costs nothing — entries are filtered against
+    /// the driver's cached row). Requires [`NodeBehavior::SPARSE_OBSERVE`].
+    /// The first step must carry all `n` nodes (there is no previous row
+    /// yet).
     ///
     /// Produces bit-identical ledgers, answers, and node/RNG state to the
-    /// dense [`Cluster::step`] driven with the corresponding full rows —
-    /// and to both sequential execution paths.
+    /// dense [`Cluster::step`] driven with the corresponding full rows, on
+    /// every transport.
     pub fn try_step_sparse<CB>(
         &mut self,
         coord: &mut CB,
@@ -436,40 +476,27 @@ impl<T: Transport> Cluster<T> {
             "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
         );
         let mut dr = std::mem::take(&mut self.delta_row);
-        if dr.apply_sparse(changes) {
-            self.dense_phase0(dr.row());
+        let phase0 = if dr.apply_sparse(changes) {
+            Phase0::Dense(dr.row())
         } else {
-            self.visit_phase0(dr.last_delta());
-        }
+            Phase0::Delta {
+                changes: dr.last_delta(),
+                row: dr.row(),
+            }
+        };
+        let res = self.run_step(coord, t, phase0);
         self.delta_row = dr;
-        self.run_step(coord, t)
+        res
     }
 
-    /// Node-phase 0 as a full observation fan-out (non-sparse behaviors and
-    /// the very first step).
-    fn dense_phase0(&mut self, values: &[Value]) {
-        self.phase0.clear();
-        self.phase0.extend(
-            values
-                .iter()
-                .enumerate()
-                .map(|(i, &value)| (i as u32, Some(value))),
-        );
-    }
-
-    /// Node-phase 0 over changed ∪ engaged nodes only: changed nodes get
-    /// their new value, engaged-but-unchanged nodes replay their cached one.
-    fn visit_phase0(&mut self, changes: &[(NodeId, Value)]) {
-        self.phase0.clear();
-        let phase0 = &mut self.phase0;
-        merge_visit(changes, &self.engaged_idx, |i, value| {
-            phase0.push((i, value.copied()));
-        });
-    }
-
-    /// Run the step from its stored phase-0 visits, re-running whole
-    /// attempts after injected coordinator crashes until one commits.
-    fn run_step<CB>(&mut self, coord: &mut CB, t: u64) -> Result<(), RuntimeError>
+    /// Run the step, re-running whole attempts after injected coordinator
+    /// crashes until one commits.
+    fn run_step<CB>(
+        &mut self,
+        coord: &mut CB,
+        t: u64,
+        phase0: Phase0<'_>,
+    ) -> Result<(), RuntimeError>
     where
         CB: CoordinatorBehavior<Up = Up<T>, Down = Down<T>>,
     {
@@ -490,7 +517,7 @@ impl<T: Transport> Cluster<T> {
         loop {
             let mut ups = std::mem::take(&mut self.ups_scratch);
             let mut out = std::mem::take(&mut self.out);
-            let attempt = self.run_attempt(coord, t, &mut ups, &mut out);
+            let attempt = self.run_attempt(coord, t, phase0, &mut ups, &mut out);
             self.ups_scratch = ups;
             self.out = out;
             match attempt {
@@ -526,6 +553,7 @@ impl<T: Transport> Cluster<T> {
         &mut self,
         coord: &mut CB,
         t: u64,
+        phase0: Phase0<'_>,
         ups: &mut Vec<(NodeId, Up<T>)>,
         out: &mut CoordOut<Down<T>>,
     ) -> Result<bool, AttemptError>
@@ -533,15 +561,8 @@ impl<T: Transport> Cluster<T> {
         CB: CoordinatorBehavior<Up = Up<T>, Down = Down<T>>,
     {
         coord.begin_step(t);
-        self.begin_wave().map_err(AttemptError::Fatal)?;
-        let key = (t, self.run, 0);
-        for idx in 0..self.phase0.len() {
-            let (i, value) = self.phase0[idx];
-            self.transport.encode(key, i, Work::Observe(value));
-            self.dispatch(i, key).map_err(AttemptError::Fatal)?;
-        }
-        self.transport.flush().map_err(AttemptError::Fatal)?;
-        self.collect(t, 0, ups).map_err(AttemptError::Fatal)?;
+        self.observe_wave(t, phase0, ups)
+            .map_err(AttemptError::Fatal)?;
 
         if self.engaged_idx.is_empty()
             && self.calendar.is_empty()
@@ -581,9 +602,8 @@ impl<T: Transport> Cluster<T> {
                     return Err(AttemptError::Crashed);
                 }
             }
-            self.deliver_round(t, m, out).map_err(AttemptError::Fatal)?;
-            self.transport.flush().map_err(AttemptError::Fatal)?;
-            self.collect(t, m, ups).map_err(AttemptError::Fatal)?;
+            self.deliver_round(t, m, out, ups)
+                .map_err(AttemptError::Fatal)?;
         }
         // Schedules and the broadcast log are step-local.
         self.calendar.end_step();
@@ -591,11 +611,14 @@ impl<T: Transport> Cluster<T> {
         Ok(false)
     }
 
-    /// Start a new wave: flush delay-injected frames from earlier waves
-    /// (their keys are stale by now, so nodes dedup them — pure reorder
-    /// noise on the wire) and reset per-wave fault bookkeeping.
-    fn begin_wave(&mut self) -> Result<(), RuntimeError> {
+    /// Start a new wave: clear the reply bookkeeping, flush delay-injected
+    /// frames from earlier waves (their keys are stale by now, so nodes
+    /// dedup them — pure reorder noise on the wire) and reset per-wave
+    /// fault bookkeeping.
+    fn begin_wave(&mut self, ups: &mut Vec<(NodeId, Up<T>)>) -> Result<(), RuntimeError> {
         debug_assert_eq!(self.pending_count, 0, "wave started with replies pending");
+        ups.clear();
+        self.engaged_scratch.clear();
         self.wave.clear();
         if self.chaos.is_none() {
             return Ok(());
@@ -616,6 +639,98 @@ impl<T: Transport> Cluster<T> {
         }
         self.reply_dropped.iter_mut().for_each(|d| *d = false);
         Ok(())
+    }
+
+    /// End of a wave's sends: a framed transport flushes and collects the
+    /// replies (any order, so they are sorted here); a direct wave booked
+    /// its replies in id order as it went. The wave's engaged repliers
+    /// become the engaged set.
+    fn finish_wave(
+        &mut self,
+        t: u64,
+        phase: u32,
+        ups: &mut Vec<(NodeId, Up<T>)>,
+    ) -> Result<(), RuntimeError> {
+        if !T::DIRECT {
+            self.transport.flush()?;
+            self.collect(t, phase, ups)?;
+            self.engaged_scratch.sort_unstable();
+            ups.sort_by_key(|(id, _)| *id);
+        }
+        std::mem::swap(&mut self.engaged_idx, &mut self.engaged_scratch);
+        Ok(())
+    }
+
+    /// Node-phase 0: changed ∪ engaged nodes (or every node, on a dense
+    /// step) observe, and the replies are collected into `ups`.
+    fn observe_wave(
+        &mut self,
+        t: u64,
+        phase0: Phase0<'_>,
+        ups: &mut Vec<(NodeId, Up<T>)>,
+    ) -> Result<(), RuntimeError> {
+        self.begin_wave(ups)?;
+        let mut res = Ok(());
+        match phase0 {
+            Phase0::Dense(values) => {
+                for (i, &v) in values.iter().enumerate() {
+                    res = self.observe(t, i as u32, v, true, ups);
+                    if res.is_err() {
+                        break;
+                    }
+                }
+            }
+            Phase0::Delta { changes, row } => {
+                // Ids first, then the visits: a tight loop over a known id
+                // list lets the nodes' memory loads overlap.
+                let mut visit = std::mem::take(&mut self.visit_scratch);
+                visit.clear();
+                merge_visit(changes, &self.engaged_idx, |i, _| visit.push(i));
+                let mut c = 0usize; // cursor into the id-sorted change list
+                for &i in &visit {
+                    // Only a framed transport tells changed from cached.
+                    let changed = !T::DIRECT
+                        && match changes.get(c) {
+                            Some((id, _)) if id.0 == i => {
+                                c += 1;
+                                true
+                            }
+                            _ => false,
+                        };
+                    res = self.observe(t, i, row[i as usize], changed, ups);
+                    if res.is_err() {
+                        break;
+                    }
+                }
+                self.visit_scratch = visit;
+            }
+        }
+        res?;
+        self.finish_wave(t, 0, ups)
+    }
+
+    /// Hand node `i` its phase-0 observation of `value`. A framed
+    /// transport frames an unchanged value as a value-less observe (the
+    /// node replays its cached one); the direct call always carries it.
+    #[inline(always)]
+    fn observe(
+        &mut self,
+        t: u64,
+        i: u32,
+        value: Value,
+        changed: bool,
+        ups: &mut Vec<(NodeId, Up<T>)>,
+    ) -> Result<(), RuntimeError> {
+        if T::DIRECT {
+            let body = self.transport.call(t, 0, i, Work::Observe(Some(value)));
+            // Calendar entries are step-local: none exists at phase 0.
+            self.book(0, 0, NodeId(i), false, body, 0, ups);
+            return Ok(());
+        }
+        let key = (t, self.run, 0);
+        self.transport
+            .encode(key, i, Work::Observe(changed.then_some(value)));
+        self.dispatch(i, key)
     }
 
     /// Send the current frame to node `i` as part of the in-flight wave,
@@ -748,45 +863,55 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// Deliver the coordinator output of round `m-1` as node-phase `m`
-    /// under the visit rule (see the module docs). Skipped nodes are
-    /// contractual no-ops for the round's payload.
+    /// under the visit rule (see the module docs) and collect the replies
+    /// into `ups`. Skipped nodes are contractual no-ops for the round's
+    /// payload.
     fn deliver_round(
         &mut self,
         t: u64,
         m: u32,
         out: &mut CoordOut<Down<T>>,
+        ups: &mut Vec<(NodeId, Up<T>)>,
     ) -> Result<(), RuntimeError> {
         if out.unicasts.len() > 1 {
             out.unicasts.sort_by_key(|(id, _)| *id);
         }
+        debug_assert!(
+            out.unicasts.windows(2).all(|w| w[0].0 != w[1].0),
+            "at most one unicast per node per round"
+        );
         let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
         let extra: Option<u32> = match out.scope {
             RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
             _ => None,
         };
         self.bcast_log.extend(out.broadcasts.iter().cloned());
-        self.begin_wave()?;
-        let round_from = self.bcast_log.len() - out.broadcasts.len();
+        self.begin_wave(ups)?;
+        let log = std::mem::take(&mut self.bcast_log);
+        let round_from = log.len() - out.broadcasts.len();
 
+        // A full fan-out visits `0..n` in place; otherwise the engaged list
+        // plus whoever else this phase reaches, merged in id order.
         let mut visit = std::mem::take(&mut self.visit_scratch);
         visit.clear();
-        if full_fanout {
-            visit.extend(0..self.n() as u32);
-        } else {
+        if !full_fanout {
             visit.extend_from_slice(&self.engaged_idx);
             self.calendar.due_into(m, &mut visit);
             visit.extend(out.unicasts.iter().map(|(id, _)| id.0));
-            if let Some(x) = extra {
-                visit.push(x);
+            visit.extend(extra);
+            if visit.len() > self.engaged_idx.len() {
+                visit.sort_unstable();
+                visit.dedup();
             }
-            visit.sort_unstable();
-            visit.dedup();
         }
+        let visits = if full_fanout { self.n() } else { visit.len() };
 
         let key = (t, self.run, m);
         let mut u = 0usize; // cursor into the id-sorted unicast list
         let mut res = Ok(());
-        for &i in &visit {
+        #[allow(clippy::needless_range_loop)] // `0..n` is never materialized
+        for j in 0..visits {
+            let i = if full_fanout { j as u32 } else { visit[j] };
             let ucast = match out.unicasts.get(u) {
                 Some((id, d)) if id.0 == i => {
                     u += 1;
@@ -794,34 +919,73 @@ impl<T: Transport> Cluster<T> {
                 }
                 _ => None,
             };
-            // A scheduled node's frame replays every broadcast since its
+            // A scheduled node's work replays every broadcast since its
             // last poll; everyone else gets this round's broadcasts.
-            let from = if self.calendar.is_scheduled(i) {
+            let scheduled = self.calendar.is_scheduled(i);
+            let from = if scheduled {
                 self.calendar.seen(i)
             } else {
                 round_from
             };
             let work = Work::Round {
-                log: &self.bcast_log,
+                log: &log,
                 from,
                 ucast,
             };
-            self.transport.encode(key, i, work);
-            res = self.dispatch(i, key);
-            if res.is_err() {
-                break;
+            if T::DIRECT {
+                let body = self.transport.call(t, m, i, work);
+                self.book(m, log.len(), NodeId(i), scheduled, body, 0, ups);
+            } else {
+                self.transport.encode(key, i, work);
+                res = self.dispatch(i, key);
+                if res.is_err() {
+                    break;
+                }
             }
         }
         self.visit_scratch = visit;
-        res
+        self.bcast_log = log;
+        res?;
+        self.finish_wave(t, m, ups)
     }
 
-    /// Collect the in-flight wave's replies into `ups` (sorted by node id),
-    /// charging `Some` payloads, rebuilding the engaged index list from the
-    /// repliers, and resolving/re-creating calendar entries from their
-    /// `wake_at` answers. Replies are matched against the wave key
-    /// `(t, run, phase)`; stale arrivals are discarded (and counted under
-    /// chaos).
+    /// Book node `id`'s reply to node-phase `phase` (the broadcast log at
+    /// length `log_len`; `scheduled` if the node held a calendar entry):
+    /// resolve or re-create its calendar entry, record it as engaged, and
+    /// charge and queue its up-message.
+    #[allow(clippy::too_many_arguments)] // one reply = one bookkeeping context
+    #[inline(always)]
+    fn book(
+        &mut self,
+        phase: u32,
+        log_len: usize,
+        id: NodeId,
+        scheduled: bool,
+        body: ReplyBody<Up<T>>,
+        up_bytes: u64,
+        ups: &mut Vec<(NodeId, Up<T>)>,
+    ) {
+        debug_assert!(
+            body.wake_at.is_none() || body.engaged,
+            "wake_at requires engaged"
+        );
+        let wake = if body.engaged { body.wake_at } else { None };
+        if scheduled || wake.is_some() {
+            self.calendar.note_poll(id.0, wake, phase, log_len);
+        }
+        if body.engaged && wake.is_none() {
+            self.engaged_scratch.push(id.0);
+        }
+        if let Some(up) = body.up {
+            self.charge_wire(ChannelKind::Up, up_bytes);
+            self.ledger.count(ChannelKind::Up, up.wire_bits());
+            ups.push((id, up));
+        }
+    }
+
+    /// Collect the in-flight wave's replies of a framed transport, matched
+    /// against the wave key `(t, run, phase)`, and [`Cluster::book`] them;
+    /// stale arrivals are discarded (and counted under chaos).
     ///
     /// Timing: a clean transport ticks at `RECV_TICK_MS` and gives up after
     /// `MAX_IDLE_TICKS` silent ticks; a chaotic one honours the policy's
@@ -833,20 +997,14 @@ impl<T: Transport> Cluster<T> {
         phase: u32,
         ups: &mut Vec<(NodeId, Up<T>)>,
     ) -> Result<(), RuntimeError> {
-        ups.clear();
         let log_len = self.bcast_log.len();
-        let mut next = std::mem::take(&mut self.engaged_scratch);
-        next.clear();
         let tick = Duration::from_millis(match self.chaos {
             Some(p) => p.deadline_ms.max(1),
             None => RECV_TICK_MS,
         });
         let mut idle: u32 = 0;
         let mut attempts: u32 = 0;
-        let result = loop {
-            if self.pending_count == 0 {
-                break Ok(());
-            }
+        while self.pending_count > 0 {
             match self.transport.recv(tick) {
                 Ok(rep) => {
                     idle = 0;
@@ -873,27 +1031,20 @@ impl<T: Transport> Cluster<T> {
                     }
                     self.pending_mask[idx] = false;
                     self.pending_count -= 1;
-                    let body = rep.body;
-                    debug_assert!(
-                        body.wake_at.is_none() || body.engaged,
-                        "wake_at requires engaged"
+                    let scheduled = self.calendar.is_scheduled(rep.id.0);
+                    self.book(
+                        phase,
+                        log_len,
+                        rep.id,
+                        scheduled,
+                        rep.body,
+                        rep.up_bytes,
+                        ups,
                     );
-                    let wake = if body.engaged { body.wake_at } else { None };
-                    if wake.is_some() || self.calendar.is_scheduled(rep.id.0) {
-                        self.calendar.note_poll(rep.id.0, wake, phase, log_len);
-                    }
-                    if body.engaged && wake.is_none() {
-                        next.push(rep.id.0);
-                    }
-                    if let Some(up) = body.up {
-                        self.charge_wire(ChannelKind::Up, rep.up_bytes);
-                        self.ledger.count(ChannelKind::Up, up.wire_bits());
-                        ups.push((rep.id, up));
-                    }
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if let Some(id) = self.find_dead_pending() {
-                        break Err(RuntimeError::NodeDown { id });
+                        return Err(RuntimeError::NodeDown { id });
                     }
                     let timeout = RuntimeError::ReplyTimeout {
                         t,
@@ -903,34 +1054,21 @@ impl<T: Transport> Cluster<T> {
                     let Some(p) = self.chaos else {
                         idle += 1;
                         if idle >= MAX_IDLE_TICKS {
-                            break Err(timeout);
+                            return Err(timeout);
                         }
                         continue;
                     };
                     attempts += 1;
                     if attempts > p.max_retries {
-                        break Err(timeout);
+                        return Err(timeout);
                     }
-                    if let Err(e) = self.resend_pending() {
-                        break Err(e);
-                    }
+                    self.resend_pending()?;
                     self.recovery.retries += 1;
                 }
-                Err(RecvTimeoutError::Disconnected) => break Err(RuntimeError::AllNodesDown),
-            }
-        };
-        match result {
-            Ok(()) => {
-                next.sort_unstable();
-                self.engaged_scratch = std::mem::replace(&mut self.engaged_idx, next);
-                ups.sort_by_key(|(id, _)| *id);
-                Ok(())
-            }
-            Err(e) => {
-                self.engaged_scratch = next;
-                Err(e)
+                Err(RecvTimeoutError::Disconnected) => return Err(RuntimeError::AllNodesDown),
             }
         }
+        Ok(())
     }
 
     fn charge_wire(&mut self, kind: ChannelKind, bytes: u64) {

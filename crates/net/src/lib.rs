@@ -15,23 +15,22 @@
 //! * [`rng`] — deterministic per-node randomness and the exact `2^r/N`
 //!   Bernoulli trials the model's nodes are equipped with;
 //! * [`behavior`] — the node/coordinator state-machine traits;
-//! * [`delta`] — the cached-row diff/filter shared by every runtime's
-//!   delta-driven entry points;
-//! * [`calendar`] — the fire-round calendar bookkeeping shared by every
-//!   runtime (protocol rounds visit only the round's scheduled firers);
-//! * [`seq`] — the deterministic sequential runtime (used by all
-//!   experiments);
-//! * [`driver`] — the one coordinator-side step driver ([`Cluster`]) of the
-//!   distributed runtimes: visit rule, round loop, collection and crash
-//!   recovery over a small [`Transport`] trait;
+//! * [`delta`] — the driver's cached value row behind the delta-driven
+//!   entry points;
+//! * [`calendar`] — the driver's fire-round calendar (protocol rounds
+//!   visit only the round's scheduled firers);
+//! * [`driver`] — the one coordinator-side step driver ([`Cluster`]) of
+//!   every engine: visit rule, round loop and guard, ledger charging, reply
+//!   bookkeeping and crash recovery over a small [`Transport`] trait;
+//! * [`seq`] — the direct-call transport ([`DirectTransport`]: nodes run in
+//!   place, no frames) and [`SyncRuntime`], the deterministic sequential
+//!   engine every experiment uses;
 //! * [`threaded`] — the OS-thread + crossbeam-channel transport (the "real"
-//!   distributed execution, ledger-equivalent to [`seq`]);
+//!   distributed execution);
 //! * [`socket`] — the loopback-TCP transport: node shards behind real
 //!   sockets, length-prefixed frames, and a physical wire ledger
 //!   ([`WireMetrics`]) alongside the model ledger;
 //! * [`trace`] — dense observation traces, replay and CSV I/O;
-//! * [`events`] — bounded message tracing for transcripts and fine-grained
-//!   ordering assertions;
 //! * [`chaos`] — seeded, deterministic fault injection for the threaded
 //!   and socket runtimes (including the wire-level [`WireChaos`] classes),
 //!   plus the recovery observability types ([`RecoveryMetrics`],
@@ -44,7 +43,6 @@ pub mod calendar;
 pub mod chaos;
 pub mod delta;
 pub mod driver;
-pub mod events;
 pub mod id;
 pub mod ledger;
 pub mod rng;
@@ -61,10 +59,9 @@ pub use calendar::FireCalendar;
 pub use chaos::{ChaosPolicy, RecoveryMetrics, RuntimeError, WireChaos};
 pub use delta::DeltaRow;
 pub use driver::{Cluster, Transport};
-pub use events::{Event, EventLog};
 pub use id::{midpoint_floor, true_ranking, true_topk, MinEntry, NodeId, RankEntry, Value};
 pub use ledger::{ChannelKind, CommLedger, LedgerSnapshot, WireMetrics};
-pub use seq::SyncRuntime;
+pub use seq::{DirectTransport, SyncRuntime};
 pub use socket::{FrameCodec, SocketCluster, TcpTransport, WireError, WireTaps};
 pub use threaded::{ChannelTransport, ThreadedCluster};
 pub use trace::{TraceMatrix, TraceReplay};

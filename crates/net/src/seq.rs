@@ -1,88 +1,159 @@
-//! Deterministic sequential runtime — the workhorse of all experiments.
+//! The sequential engine: the step driver ([`crate::driver::Cluster`])
+//! over [`DirectTransport`], which calls each node's behavior in place —
+//! no frames, no threads, no chaos layer — plus [`SyncRuntime`], which
+//! pairs such a cluster with its coordinator.
 //!
-//! Drives one [`CoordinatorBehavior`] and `n` [`NodeBehavior`]s through the
-//! synchronous micro-round schedule (see [`crate::behavior`]), charging every
-//! model message to an internal [`CommLedger`]. Node visit order is always
-//! ascending node id, and per-node RNG streams are owned by the node state
-//! machines, so a run is a pure function of `(behaviors, values)` — the
-//! threaded runtime produces the identical ledger.
-//!
-//! # Sparsity
-//!
-//! Two mechanisms keep quiet steps cheap:
-//!
-//! * **Within a step**: in a micro-round without broadcasts, only *engaged*
-//!   nodes and unicast addressees are polled, iterating a persistent sorted
-//!   index list of engaged nodes (never a full `0..n` scan). Disengaged
-//!   nodes are contractually no-ops, so skipping them changes nothing
-//!   observable. Rounds *with* broadcasts poll everyone unless the
-//!   coordinator scoped them via [`crate::behavior::RoundScope`]
-//!   (announcement rounds only live protocol participants react to), in
-//!   which case the same narrow visit applies — broadcasts stay fully
-//!   charged to the ledger either way.
-//! * **Across steps** (opt-in via [`NodeBehavior::SPARSE_OBSERVE`]):
-//!   [`SyncRuntime::step_sparse`] accepts only the *changed* `(id, value)`
-//!   pairs and visits changed ∪ engaged nodes in node-phase 0, so a silent
-//!   step costs `O(#changed + #engaged)` instead of `O(n)`. The dense
-//!   [`SyncRuntime::step`] transparently becomes a diff against a cached
-//!   value row for opted-in behaviors, so every existing monitor benefits
-//!   without code changes.
-//! * **Within a protocol episode** (opt-in via
-//!   [`crate::behavior::RoundAction::wake_at`]): a node that knows its
-//!   fire round in advance (Algorithm 2 participants — one draw from a
-//!   fixed distribution, see `topk_proto::schedule`) is parked in the
-//!   [`crate::calendar::FireCalendar`] and skipped by silent and scoped
-//!   rounds until that phase; the broadcasts it missed are replayed from
-//!   the step's broadcast log when it is next polled. A protocol round
-//!   thus visits `O(#senders due now)` nodes, not `O(#active)`.
-//!
-//! All scratch buffers (`ups`, the [`CoordOut`] pair, visit lists, calendar
-//! buckets, the broadcast log) are owned by the runtime and reused across
-//! rounds and steps — the steady-state hot path performs no allocation.
+//! The visit rule, the round loop, the guard and the ledger are the
+//! driver's, so this engine is bit-identical to the threaded and socket
+//! ones by construction. Node visit order is always ascending node id, and
+//! per-node RNG streams are owned by the node state machines, so a run is a
+//! pure function of `(behaviors, values)`. The direct call is fused into
+//! the driver's visit loop: each reply is booked as it returns, nothing is
+//! queued, and the ledger charges no `sync_frames`. All scratch buffers
+//! live in the driver and are reused, so the steady-state hot path
+//! performs no allocation.
 
-use crate::behavior::{
-    max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, RoundScope, ValueFeed,
-};
-use crate::calendar::FireCalendar;
-use crate::delta::{merge_visit, DeltaRow};
+use crossbeam::channel::RecvTimeoutError;
+use std::time::Duration;
+
+use crate::behavior::{CoordinatorBehavior, NodeBehavior, ValueFeed};
+use crate::chaos::RuntimeError;
+use crate::driver::{Cluster, FrameKey, Reply, ReplyBody, Transport, Work};
 use crate::id::{NodeId, Value};
-use crate::ledger::{ChannelKind, CommLedger};
-use crate::wire::WireSize;
+use crate::ledger::{CommLedger, LedgerSnapshot};
 
-/// Sequential synchronous runtime over `n` node behaviors and a coordinator.
+/// The direct-call transport: the nodes in a `Vec`, run in place.
+pub struct DirectTransport<NB> {
+    nodes: Vec<NB>,
+    observe_calls: u64,
+    micro_polls: u64,
+}
+
+const FRAMED_ONLY: &str = "the direct transport sends no frames";
+
+impl<NB: NodeBehavior> Transport for DirectTransport<NB> {
+    type Node = NB;
+    type Frame = ();
+    const NAME: &'static str = "sequential";
+    const DIRECT: bool = true;
+
+    #[inline(always)]
+    fn call(&mut self, t: u64, m: u32, i: u32, work: Work<'_, NB::Down>) -> ReplyBody<NB::Up> {
+        let node = &mut self.nodes[i as usize];
+        match work {
+            Work::Observe(value) => {
+                self.observe_calls += 1;
+                let a = node.observe(t, value.expect("the driver resolves every value"));
+                ReplyBody {
+                    up: a.up,
+                    engaged: a.engaged,
+                    wake_at: a.wake_at,
+                }
+            }
+            Work::Round { log, from, ucast } => {
+                self.micro_polls += 1;
+                let a = node.micro_round(t, m, &log[from..], ucast);
+                ReplyBody {
+                    up: a.up,
+                    engaged: a.engaged,
+                    wake_at: a.wake_at,
+                }
+            }
+        }
+    }
+
+    fn open(nodes: Vec<NB>, recoverable: bool) -> Result<Self, RuntimeError> {
+        if recoverable {
+            return Err(RuntimeError::Transport {
+                what: "the direct transport has no chaos layer".into(),
+            });
+        }
+        Ok(DirectTransport {
+            nodes,
+            observe_calls: 0,
+            micro_polls: 0,
+        })
+    }
+
+    fn n(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn links(&self) -> usize {
+        1
+    }
+
+    fn link_of(&self, _i: u32) -> usize {
+        0
+    }
+
+    fn link_down(&self, _link: usize) -> bool {
+        false
+    }
+
+    fn encode(&mut self, _key: FrameKey, _i: u32, _work: Work<'_, NB::Down>) {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn keep(&self) {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn write(&mut self, _i: u32, _stall_ms: u32) -> Result<(), RuntimeError> {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn rewrite(&mut self, _i: u32, _frame: &()) -> Result<(), RuntimeError> {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn send_abort(&mut self, _link: usize, _t: u64, _run: u32) -> Result<(), RuntimeError> {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn flush(&mut self) -> Result<(), RuntimeError> {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn recv(&mut self, _timeout: Duration) -> Result<Reply<NB::Up>, RecvTimeoutError> {
+        unreachable!("{FRAMED_ONLY}")
+    }
+
+    fn shutdown(&mut self) -> Vec<NB> {
+        std::mem::take(&mut self.nodes)
+    }
+}
+
+impl<NB: NodeBehavior> Cluster<DirectTransport<NB>> {
+    /// The node behaviors, in id order.
+    pub fn nodes(&self) -> &[NB] {
+        &self.transport.nodes
+    }
+
+    /// Total `observe` invocations so far — the sparse path's cost witness:
+    /// with `SPARSE_OBSERVE` behaviors this grows by `#changed + #engaged`
+    /// per step, not `n`.
+    pub fn observe_calls(&self) -> u64 {
+        self.transport.observe_calls
+    }
+
+    /// Total `micro_round` invocations so far — the calendar's cost
+    /// witness: with fire-round-scheduled behaviors a protocol episode
+    /// costs one poll per participant (at its fire phase) plus the
+    /// full-fanout rounds, instead of one poll per participant per round.
+    pub fn micro_polls(&self) -> u64 {
+        self.transport.micro_polls
+    }
+}
+
+/// The sequential engine over `n` node behaviors and a coordinator.
 pub struct SyncRuntime<NB, CB>
 where
     NB: NodeBehavior,
     CB: CoordinatorBehavior<Up = NB::Up, Down = NB::Down>,
 {
-    nodes: Vec<NB>,
+    cluster: Cluster<DirectTransport<NB>>,
     coord: CB,
-    ledger: CommLedger,
-    /// Sorted indices of currently engaged nodes — persists across steps.
-    engaged_idx: Vec<u32>,
-    /// Scratch for rebuilding `engaged_idx` (swapped each phase).
-    engaged_next: Vec<u32>,
-    /// Cached last-observed value row + diff/filter logic shared with the
-    /// threaded runtime (see [`crate::delta`]).
-    delta_row: DeltaRow,
-    /// Scratch: up-messages of the current node-phase.
-    ups: Vec<(NodeId, NB::Up)>,
-    /// Scratch: coordinator output, reused across micro-rounds.
-    out: CoordOut<NB::Down>,
-    /// Scratch: merged visit list (changed ∪ engaged) for sparse phase 0.
-    visit: Vec<u32>,
-    /// Fire-round calendar: nodes that announced their wake phase, bucketed
-    /// by phase, plus their broadcast-log replay cursors.
-    calendar: FireCalendar,
-    /// All broadcasts of the current step in emission order — the replay
-    /// source for scheduled nodes' skipped rounds.
-    bcast_log: Vec<NB::Down>,
-    guard: u32,
-    steps_run: u64,
-    silent_steps: u64,
-    micro_rounds_run: u64,
-    observe_calls: u64,
-    micro_polls: u64,
 }
 
 impl<NB, CB> SyncRuntime<NB, CB>
@@ -93,41 +164,15 @@ where
     /// `guard_k` only sizes the runaway-protocol guard; pass the monitored
     /// `k` (or any upper bound).
     pub fn new(nodes: Vec<NB>, coord: CB, guard_k: usize) -> Self {
-        let n = nodes.len();
-        assert!(n > 0, "need at least one node");
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(
-                node.id(),
-                NodeId(i as u32),
-                "nodes must be dense, id-ordered"
-            );
-        }
         SyncRuntime {
-            nodes,
+            cluster: Cluster::spawn(nodes).guard_k(guard_k),
             coord,
-            ledger: CommLedger::new(),
-            engaged_idx: Vec::new(),
-            engaged_next: Vec::new(),
-            // The cached row backs diffing/sparse stepping only; non-sparse
-            // behaviors never read it, so don't pay for it.
-            delta_row: DeltaRow::new(n, NB::SPARSE_OBSERVE),
-            ups: Vec::new(),
-            out: CoordOut::empty(),
-            visit: Vec::new(),
-            calendar: FireCalendar::new(n),
-            bcast_log: Vec::new(),
-            guard: max_micro_rounds(n, guard_k),
-            steps_run: 0,
-            silent_steps: 0,
-            micro_rounds_run: 0,
-            observe_calls: 0,
-            micro_polls: 0,
         }
     }
 
     #[inline]
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.cluster.n()
     }
 
     pub fn coord(&self) -> &CB {
@@ -139,44 +184,39 @@ where
     }
 
     pub fn nodes(&self) -> &[NB] {
-        &self.nodes
+        self.cluster.nodes()
     }
 
     pub fn ledger(&self) -> &CommLedger {
-        &self.ledger
+        self.cluster.ledger()
     }
 
     pub fn steps_run(&self) -> u64 {
-        self.steps_run
+        self.cluster.steps_run()
     }
 
     /// Steps that exchanged no message and ran no micro-round.
     pub fn silent_steps(&self) -> u64 {
-        self.silent_steps
+        self.cluster.silent_steps()
     }
 
     pub fn micro_rounds_run(&self) -> u64 {
-        self.micro_rounds_run
+        self.cluster.micro_rounds_run()
     }
 
-    /// Total `observe` invocations so far — the sparse path's cost witness:
-    /// with `SPARSE_OBSERVE` behaviors this grows by `#changed + #engaged`
-    /// per step, not `n`.
+    /// See [`Cluster::observe_calls`].
     pub fn observe_calls(&self) -> u64 {
-        self.observe_calls
+        self.cluster.observe_calls()
     }
 
-    /// Total `micro_round` invocations so far — the calendar's cost
-    /// witness: with fire-round-scheduled behaviors a protocol episode
-    /// costs one poll per participant (at its fire phase) plus the
-    /// full-fanout rounds, instead of one poll per participant per round.
+    /// See [`Cluster::micro_polls`].
     pub fn micro_polls(&self) -> u64 {
-        self.micro_polls
+        self.cluster.micro_polls()
     }
 
     /// Indices of nodes currently engaged in a protocol episode (sorted).
     pub fn engaged_nodes(&self) -> &[u32] {
-        &self.engaged_idx
+        self.cluster.engaged_nodes()
     }
 
     /// The coordinator's current top-k answer (sorted ascending).
@@ -184,290 +224,24 @@ where
         self.coord.topk()
     }
 
-    /// Execute one synchronous time step with the given observations.
-    ///
-    /// For behaviors that opt into [`NodeBehavior::SPARSE_OBSERVE`] this is
-    /// a thin wrapper: the row is diffed against the cached previous row and
-    /// only changed/engaged nodes are visited. Other behaviors get the
-    /// classic dense visit of every node.
+    /// Execute one synchronous time step with the given observations,
+    /// panicking if the protocol overruns the micro-round guard (see
+    /// [`Cluster::step`]).
     pub fn step(&mut self, t: u64, values: &[Value]) {
-        assert_eq!(values.len(), self.nodes.len(), "one value per node");
-        if NB::SPARSE_OBSERVE && self.delta_row.is_valid() {
-            let mut dr = std::mem::take(&mut self.delta_row);
-            dr.diff(values);
-            self.step_visits(t, dr.last_delta(), dr.row());
-            self.delta_row = dr;
-        } else {
-            if NB::SPARSE_OBSERVE {
-                self.delta_row.prime(values);
-            }
-            self.step_dense(t, values);
-        }
+        self.cluster.step(&mut self.coord, t, values);
+    }
+
+    /// Fallible form of [`SyncRuntime::step`]: a runaway protocol is a
+    /// typed [`RuntimeError::GuardExceeded`].
+    pub fn try_step(&mut self, t: u64, values: &[Value]) -> Result<(), RuntimeError> {
+        self.cluster.try_step(&mut self.coord, t, values)
     }
 
     /// Execute one step given only the values that changed since `t − 1`
-    /// (ascending ids, at most one entry per node; repeating an unchanged
-    /// value is permitted and costs nothing — entries are filtered against
-    /// the cached row). Requires [`NodeBehavior::SPARSE_OBSERVE`]. The
-    /// first step must carry all `n` nodes (there is no previous row yet).
-    ///
-    /// Produces bit-identical ledgers, answers, and node/RNG state to the
-    /// dense [`SyncRuntime::step`] driven with the corresponding full rows.
-    /// Validation and filtering live in [`DeltaRow`], shared with the
-    /// threaded runtime. (The sorted-ids check is a hard release assert: a
-    /// malformed list would silently corrupt protocol state.)
+    /// (see [`Cluster::step_sparse`]). Requires
+    /// [`NodeBehavior::SPARSE_OBSERVE`].
     pub fn step_sparse(&mut self, t: u64, changes: &[(NodeId, Value)]) {
-        assert!(
-            NB::SPARSE_OBSERVE,
-            "step_sparse requires a NodeBehavior with SPARSE_OBSERVE = true"
-        );
-        let mut dr = std::mem::take(&mut self.delta_row);
-        if dr.apply_sparse(changes) {
-            self.step_dense(t, dr.row());
-        } else {
-            self.step_visits(t, dr.last_delta(), dr.row());
-        }
-        self.delta_row = dr;
-    }
-
-    /// Node-phase 0 over every node (the legacy dense visit), then the
-    /// micro-round schedule.
-    fn step_dense(&mut self, t: u64, values: &[Value]) {
-        self.coord.begin_step(t);
-        self.ups.clear();
-
-        let mut any_engaged = false;
-        let mut next = std::mem::take(&mut self.engaged_next);
-        next.clear();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let act = node.observe(t, values[i]);
-            self.observe_calls += 1;
-            if act.engaged {
-                any_engaged = true;
-                match act.wake_at {
-                    // Observe is node-phase 0; the log is empty.
-                    Some(f) => self.calendar.note_poll(i as u32, Some(f), 0, 0),
-                    None => next.push(i as u32),
-                }
-            }
-            if let Some(up) = act.up {
-                self.ledger.count(ChannelKind::Up, up.wire_bits());
-                self.ups.push((NodeId(i as u32), up));
-            }
-        }
-        self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
-
-        self.finish_step(t, any_engaged);
-    }
-
-    /// Node-phase 0 over changed ∪ engaged nodes only, then the micro-round
-    /// schedule. `row` is the current full value row (already reflecting
-    /// the changes) — engaged-but-unchanged nodes observe from it.
-    fn step_visits(&mut self, t: u64, changes: &[(NodeId, Value)], row: &[Value]) {
-        self.coord.begin_step(t);
-        self.ups.clear();
-
-        // Merge the (sorted) change ids with the (sorted) engaged set.
-        let mut visit = std::mem::take(&mut self.visit);
-        visit.clear();
-        {
-            let engaged_prev = std::mem::take(&mut self.engaged_idx);
-            merge_visit(changes, &engaged_prev, |i, _| visit.push(i));
-            self.engaged_idx = engaged_prev;
-        }
-
-        let mut any_engaged = false;
-        let mut next = std::mem::take(&mut self.engaged_next);
-        next.clear();
-        for &i in &visit {
-            let i = i as usize;
-            let act = self.nodes[i].observe(t, row[i]);
-            self.observe_calls += 1;
-            if act.engaged {
-                any_engaged = true;
-                match act.wake_at {
-                    Some(f) => self.calendar.note_poll(i as u32, Some(f), 0, 0),
-                    None => next.push(i as u32),
-                }
-            }
-            if let Some(up) = act.up {
-                self.ledger.count(ChannelKind::Up, up.wire_bits());
-                self.ups.push((NodeId(i as u32), up));
-            }
-        }
-        self.visit = visit;
-        self.engaged_next = std::mem::replace(&mut self.engaged_idx, next);
-
-        self.finish_step(t, any_engaged);
-    }
-
-    /// Silent-step fast path plus the coordinator micro-round loop.
-    fn finish_step(&mut self, t: u64, any_engaged: bool) {
-        if !any_engaged && self.ups.is_empty() && self.coord.try_skip_silent_step(t) {
-            self.steps_run += 1;
-            self.silent_steps += 1;
-            return;
-        }
-
-        let mut m: u32 = 0;
-        loop {
-            let mut out = std::mem::take(&mut self.out);
-            let mut ups = std::mem::take(&mut self.ups);
-            out.clear();
-            self.coord.micro_round(t, m, &mut ups, &mut out);
-            ups.clear();
-            self.ups = ups;
-            for (_, d) in &out.unicasts {
-                self.ledger.count(ChannelKind::Down, d.wire_bits());
-            }
-            for b in &out.broadcasts {
-                self.ledger.count(ChannelKind::Broadcast, b.wire_bits());
-            }
-            if out.is_empty() && self.coord.step_done() {
-                self.out = out;
-                break;
-            }
-            m += 1;
-            self.micro_rounds_run += 1;
-            assert!(
-                m <= self.guard,
-                "micro-round guard exceeded at t={t}: protocol failed to terminate"
-            );
-            self.deliver_phase(t, m, &mut out);
-            self.out = out;
-        }
-        // Schedules and the broadcast log are step-local.
-        self.calendar.end_step();
-        self.bcast_log.clear();
-        self.steps_run += 1;
-    }
-
-    /// Deliver the coordinator output of round `m-1` as node-phase `m` and
-    /// collect the nodes' up-messages into `self.ups`. `out` is runtime
-    /// scratch: read here, cleared by the next round.
-    ///
-    /// Visit rule: a round with [`RoundScope::All`] broadcasts reaches every
-    /// node; otherwise only engaged nodes, the calendar entries due at this
-    /// phase, unicast addressees, and the [`RoundScope::EngagedPlus`]
-    /// addressee are polled (skipped nodes are contractual no-ops — see
-    /// [`RoundScope`] and [`crate::behavior::RoundAction::wake_at`]).
-    /// Scheduled nodes receive every broadcast since their last poll,
-    /// replayed from the step's log; everyone else gets this round's.
-    fn deliver_phase(&mut self, t: u64, m: u32, out: &mut CoordOut<NB::Down>) {
-        if out.unicasts.len() > 1 {
-            out.unicasts.sort_by_key(|(id, _)| *id);
-        }
-        debug_assert!(
-            out.unicasts.windows(2).all(|w| w[0].0 != w[1].0),
-            "at most one unicast per node per round"
-        );
-        let unicasts = &out.unicasts;
-        let full_fanout = !out.broadcasts.is_empty() && out.scope == RoundScope::All;
-        // A scoped extra addressee matters only when something is broadcast.
-        let extra: Option<u32> = match out.scope {
-            RoundScope::EngagedPlus(id) if !out.broadcasts.is_empty() => Some(id.0),
-            _ => None,
-        };
-
-        // Append this round's broadcasts to the step log; ordinary nodes
-        // are delivered the tail from `round_start`, scheduled nodes from
-        // their own cursor.
-        let mut log = std::mem::take(&mut self.bcast_log);
-        let round_start = log.len();
-        log.extend(out.broadcasts.iter().cloned());
-
-        let engaged_prev = std::mem::take(&mut self.engaged_idx);
-        let mut next = std::mem::take(&mut self.engaged_next);
-        next.clear();
-
-        if full_fanout {
-            // An unscoped broadcast reaches everyone. Algorithm-1-style
-            // coordinators never unicast, so skip the addressee merge on
-            // the n-wide hot loop.
-            if unicasts.is_empty() {
-                for i in 0..self.nodes.len() {
-                    self.poll_node(t, m, i, &log, round_start, None, &mut next);
-                }
-            } else {
-                let mut u = unicasts.iter().peekable();
-                for i in 0..self.nodes.len() {
-                    let ucast = match u.peek() {
-                        Some((id, _)) if id.idx() == i => u.next().map(|(_, d)| d),
-                        _ => None,
-                    };
-                    self.poll_node(t, m, i, &log, round_start, ucast, &mut next);
-                }
-            }
-        } else if unicasts.is_empty() && extra.is_none() && !self.calendar.has_due(m) {
-            // Silent or engaged-scoped round with no scheduled firers due:
-            // poll only engaged nodes.
-            for &i in &engaged_prev {
-                self.poll_node(t, m, i as usize, &log, round_start, None, &mut next);
-            }
-        } else {
-            // Poll engaged ∪ due-scheduled ∪ unicast addressees ∪ scoped
-            // addressee, in ascending id order.
-            let mut visit = std::mem::take(&mut self.visit);
-            visit.clear();
-            visit.extend_from_slice(&engaged_prev);
-            self.calendar.due_into(m, &mut visit);
-            visit.extend(unicasts.iter().map(|(id, _)| id.0));
-            if let Some(x) = extra {
-                visit.push(x);
-            }
-            visit.sort_unstable();
-            visit.dedup();
-            let mut u = unicasts.iter().peekable();
-            for &i in &visit {
-                let ucast = match u.peek() {
-                    Some((id, _)) if id.0 == i => u.next().map(|(_, d)| d),
-                    _ => None,
-                };
-                self.poll_node(t, m, i as usize, &log, round_start, ucast, &mut next);
-            }
-            self.visit = visit;
-        }
-
-        self.engaged_next = engaged_prev;
-        self.engaged_idx = next;
-        self.bcast_log = log;
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // one poll = one visit-rule context: every arg is load-bearing
-    fn poll_node(
-        &mut self,
-        t: u64,
-        m: u32,
-        i: usize,
-        log: &[NB::Down],
-        round_start: usize,
-        ucast: Option<&NB::Down>,
-        engaged_out: &mut Vec<u32>,
-    ) {
-        let scheduled = self.calendar.is_scheduled(i as u32);
-        let bcasts = if scheduled {
-            &log[self.calendar.seen(i as u32)..]
-        } else {
-            &log[round_start..]
-        };
-        let act = self.nodes[i].micro_round(t, m, bcasts, ucast);
-        self.micro_polls += 1;
-        debug_assert!(
-            act.wake_at.is_none() || act.engaged,
-            "wake_at requires engaged"
-        );
-        let wake = if act.engaged { act.wake_at } else { None };
-        if scheduled || wake.is_some() {
-            self.calendar.note_poll(i as u32, wake, m, log.len());
-        }
-        if act.engaged && wake.is_none() {
-            engaged_out.push(i as u32);
-        }
-        if let Some(up) = act.up {
-            self.ledger.count(ChannelKind::Up, up.wire_bits());
-            self.ups.push((NodeId(i as u32), up));
-        }
+        self.cluster.step_sparse(&mut self.coord, t, changes);
     }
 
     /// Run `steps` consecutive time steps pulled from a [`ValueFeed`],
@@ -477,16 +251,15 @@ where
         feed: &mut dyn ValueFeed,
         start_t: u64,
         steps: u64,
-    ) -> crate::ledger::LedgerSnapshot {
-        assert_eq!(feed.n(), self.nodes.len());
-        let before = self.ledger.snapshot();
-        let mut row = vec![0 as Value; self.nodes.len()];
-        for dt in 0..steps {
-            let t = start_t + dt;
+    ) -> LedgerSnapshot {
+        assert_eq!(feed.n(), self.n());
+        let before = self.ledger().snapshot();
+        let mut row = vec![0 as Value; self.n()];
+        for t in start_t..start_t + steps {
             feed.fill_step(t, &mut row);
             self.step(t, &row);
         }
-        self.ledger.snapshot().since(&before)
+        self.ledger().snapshot().since(&before)
     }
 
     /// Delta-driven counterpart of [`SyncRuntime::run_feed`]: pulls change
@@ -497,15 +270,14 @@ where
         feed: &mut dyn ValueFeed,
         start_t: u64,
         steps: u64,
-    ) -> crate::ledger::LedgerSnapshot {
-        assert_eq!(feed.n(), self.nodes.len());
-        let before = self.ledger.snapshot();
+    ) -> LedgerSnapshot {
+        assert_eq!(feed.n(), self.n());
+        let before = self.ledger().snapshot();
         let mut changes: Vec<(NodeId, Value)> = Vec::new();
-        for dt in 0..steps {
-            let t = start_t + dt;
+        for t in start_t..start_t + steps {
             feed.fill_delta(t, &mut changes);
             self.step_sparse(t, &changes);
         }
-        self.ledger.snapshot().since(&before)
+        self.ledger().snapshot().since(&before)
     }
 }

@@ -7,9 +7,10 @@
 //! reply. Frames and replies are transport artifacts — only `Some` payloads
 //! inside them are charged to the model ledger; the frames themselves are
 //! tallied as `sync_frames`. The visit rule, node-phase indices and
-//! per-node RNG streams are those of the sequential runtime, so for the
-//! same behaviors and inputs both produce **equal ledgers** (pinned by the
-//! `runtime_conformance` and `threaded_vs_sequential` integration tests).
+//! per-node RNG streams are the driver's, shared with the sequential
+//! engine, so for the same behaviors and inputs both produce **equal
+//! ledgers** (pinned by the `runtime_conformance` and
+//! `threaded_vs_sequential` integration tests).
 //!
 //! What this transport adds is only the channel plumbing: a frame carries
 //! its payload by value, except the round's broadcasts, which every frame

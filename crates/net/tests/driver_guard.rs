@@ -1,8 +1,7 @@
-//! The step driver's runaway-protocol guard on both distributed transports:
-//! a coordinator that never finishes its step gets a typed
+//! The step driver's runaway-protocol guard on all three transports: a
+//! coordinator that never finishes its step gets a typed
 //! [`RuntimeError::GuardExceeded`] from `try_step` after exactly
-//! `max_micro_rounds(n, k)` micro-rounds — the same bound the sequential
-//! runtime asserts — instead of a panic or a hang.
+//! `max_micro_rounds(n, k)` micro-rounds instead of a panic or a hang.
 
 use topk_net::behavior::{
     max_micro_rounds, CoordOut, CoordinatorBehavior, NodeBehavior, ObserveAction, RoundAction,
@@ -10,6 +9,7 @@ use topk_net::behavior::{
 use topk_net::chaos::RuntimeError;
 use topk_net::driver::{Cluster, Transport};
 use topk_net::id::{NodeId, Value};
+use topk_net::seq::DirectTransport;
 use topk_net::socket::{FrameCodec, SocketCluster, WireError};
 use topk_net::threaded::ThreadedCluster;
 use topk_net::wire::{get_varint, put_varint, WireSize};
@@ -109,4 +109,18 @@ fn never_done_coordinator_is_a_typed_error_on_the_threaded_transport() {
 #[test]
 fn never_done_coordinator_is_a_typed_error_on_the_socket_transport() {
     assert_guard_error(SocketCluster::spawn(quiet_nodes(5)), 3);
+}
+
+#[test]
+fn never_done_coordinator_is_a_typed_error_on_the_direct_transport() {
+    assert_guard_error(Cluster::<DirectTransport<_>>::spawn(quiet_nodes(4)), 2);
+}
+
+#[test]
+fn direct_transport_refuses_a_chaos_layer() {
+    let err = DirectTransport::open(quiet_nodes(2), true)
+        .err()
+        .expect("the direct transport has no chaos layer");
+    assert!(matches!(err, RuntimeError::Transport { .. }), "{err}");
+    assert!(DirectTransport::open(quiet_nodes(2), false).is_ok());
 }
