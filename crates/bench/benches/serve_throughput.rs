@@ -11,9 +11,10 @@
 //!   [`MonitorSession`]; the gap to `ingest/1` is the worker-handoff +
 //!   merge overhead the front door costs, the gap to higher shard counts
 //!   is what concurrent shard rounds buy back.
-//! * **silent** — `advance` with nothing buffered: one concurrent no-op
-//!   round across the workers, no merge, no allocation (the zero-alloc
-//!   pin lives in `tests/alloc_discipline.rs`).
+//! * **silent** — `advance` with nothing buffered: every shard sits the
+//!   tick out, so no worker round trip, no merge and no allocation (the
+//!   zero-alloc pin lives in `tests/alloc_discipline.rs`). This is the
+//!   service's own per-tick floor; the handoff cost shows on ingest steps.
 //!
 //! The machine-readable trajectory counterpart (10M keys, deterministic
 //! counters) is `results/BENCH_serve.json` via `bench_json`.
@@ -109,8 +110,8 @@ fn session_baseline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Globally silent service step: dispatch + collect across the workers,
-/// no merge, no events, no allocation.
+/// Globally silent service step: every shard sits it out (no worker
+/// round trip), no merge, no events, no allocation.
 fn serve_silent(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput/silent");
     group.sample_size(10);

@@ -65,7 +65,9 @@ struct ServePoint {
     ingest_step_us_median: f64,
     /// Movers per step over the median ingest step time.
     updates_per_sec_median: f64,
-    /// A globally silent `advance`: one no-op round across the workers.
+    /// A globally silent `advance`: every shard sits it out, so this
+    /// measures no worker round trip (the single-session baseline runs its
+    /// silent fast path).
     silent_advance_us_median: f64,
     /// Deterministic for fixed (workload, seed): total events emitted over
     /// the whole drive — identical across all service shard counts (the

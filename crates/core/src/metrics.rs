@@ -79,9 +79,11 @@ impl RunMetrics {
     /// [`RecoveryMetrics`] and [`WireMetrics`] blocks — the aggregation
     /// step of the sharded serving layer: `topk-serve` folds its S shards'
     /// metrics into one service-level block with S calls. Every field is a
-    /// pure sum, so `steps` becomes shard-steps (S × the wall-clock step
-    /// count when every shard advances in lockstep); divide by the shard
-    /// count for per-shard averages.
+    /// pure sum, so `steps` becomes shard-steps: S × the wall-clock step
+    /// count, because a shard that sits out an update-free tick still
+    /// counts it (its session would have taken the silent fast path, which
+    /// moves no other counter). Divide by the shard count for per-shard
+    /// averages.
     pub fn absorb(&mut self, other: &RunMetrics) {
         self.steps += other.steps;
         self.violation_steps += other.violation_steps;

@@ -247,6 +247,12 @@ impl MonitorBuilder {
     /// knob takes a `u64`, so negative tolerances are unrepresentable by
     /// construction.
     pub fn try_build(&self) -> Result<MonitorSession, BuildError> {
+        self.validate()?;
+        Ok(self.assemble())
+    }
+
+    /// The checks of [`Self::try_build`], without assembling a session.
+    pub fn validate(&self) -> Result<(), BuildError> {
         let MonitorConfig { n, k, .. } = self.cfg;
         if n == 0 || k == 0 || k > n {
             return Err(BuildError::InvalidSize { n, k });
@@ -262,7 +268,7 @@ impl MonitorBuilder {
         if self.chaos.is_some() && self.engine == Engine::Sequential {
             return Err(BuildError::ChaosOnSequential);
         }
-        Ok(self.assemble())
+        Ok(())
     }
 
     /// Assemble the session. Borrowing (not consuming) the builder makes it
@@ -317,7 +323,9 @@ impl MonitorBuilder {
 
 /// Why a [`MonitorBuilder`] knob combination cannot be assembled into a
 /// session. Returned by [`MonitorBuilder::try_build`];
-/// [`MonitorBuilder::build`] panics with the same message.
+/// [`MonitorBuilder::build`] panics with the same message. The sharded
+/// serving layer's `ServeBuilder::try_build` reports its errors with it
+/// too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildError {
     /// The size is outside `n ≥ 1`, `1 ≤ k ≤ n`.
@@ -334,6 +342,9 @@ pub enum BuildError {
     /// [`Engine::Socket`], or leave [`Engine::Auto`] (which falls back to
     /// the threaded runtime under chaos).
     ChaosOnSequential,
+    /// A sharded service (`topk-serve`'s `ServeBuilder`) was asked for
+    /// zero shards.
+    NoShards,
 }
 
 impl std::fmt::Display for BuildError {
@@ -352,6 +363,7 @@ impl std::fmt::Display for BuildError {
                 "chaos policy on Engine::Sequential: the sequential runtime \
                  has no transport layer to inject faults into"
             ),
+            BuildError::NoShards => write!(f, "a sharded service needs at least one shard"),
         }
     }
 }

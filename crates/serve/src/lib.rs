@@ -32,7 +32,7 @@
 //! assert_eq!(svc.topk().len(), 5);
 //! assert!(svc.threshold().is_some(), "exact global 6th-best value");
 //!
-//! // Silent steps cost one concurrent no-op round across the shards.
+//! // An update-free step wakes no shard worker.
 //! assert!(svc.advance(1).is_empty());
 //! ```
 //!
@@ -46,3 +46,4 @@ mod service;
 mod shard;
 
 pub use service::{ServeBuilder, TopkService};
+pub use topk_core::session::BuildError;

@@ -7,17 +7,19 @@
 //! `(k+1)`-th-best cut (the service threshold) fall out of an `S`-way merge
 //! of shard candidate lists ([`ShardMerge`]), never an approximation.
 //!
-//! Per step, the service dispatches all shards concurrently (one worker
-//! thread each, see [`crate::shard`]), collects their change flags, and
-//! re-merges only when some shard's candidates moved. Global events are
-//! derived from the merged ranking exactly like a single session derives
-//! them from its engine's answer, so the [`EventReplay`] losslessness
-//! contract holds at service level too.
+//! Per step, the service dispatches only the shards with buffered updates
+//! (after the first step, which dispatches every shard), runs them
+//! concurrently (one worker thread each, see [`crate::shard`]), collects
+//! their change flags, and re-merges only when some shard's candidates
+//! moved. A shard without updates keeps its cached candidates and wakes
+//! no worker. Global events are derived from the merged ranking exactly
+//! like a single session derives them from its engine's answer, so the
+//! [`EventReplay`] losslessness contract holds at service level too.
 //!
 //! [`MonitorSession`]: topk_core::session::MonitorSession
 //! [`EventReplay`]: topk_core::EventReplay
 
-use topk_core::session::{Engine, MonitorBuilder};
+use topk_core::session::{BuildError, Engine, MonitorBuilder};
 use topk_core::{HandlerMode, ResetStrategy, RunMetrics, TopkEvent};
 use topk_net::chaos::{ChaosPolicy, RecoveryMetrics};
 use topk_net::id::{NodeId, Value};
@@ -68,12 +70,11 @@ pub struct ServeBuilder {
 }
 
 impl ServeBuilder {
-    /// Serve the global top `k` of `keys` keys (`1 ≤ k ≤ keys`). Defaults:
-    /// 4 shards (clamped to the key count), seed 0, [`Engine::Auto`], and
-    /// the [`MonitorBuilder`] defaults for every protocol knob.
+    /// Serve the global top `k` of `keys` keys (`1 ≤ k ≤ keys`, checked by
+    /// [`try_build`](Self::try_build)). Defaults: 4 shards (clamped to the
+    /// key count), seed 0, [`Engine::Auto`], and the [`MonitorBuilder`]
+    /// defaults for every protocol knob.
     pub fn new(keys: usize, k: usize) -> Self {
-        assert!(keys >= 1, "need at least one key");
-        assert!(k >= 1 && k <= keys, "k must satisfy 1 ≤ k ≤ keys");
         ServeBuilder {
             keys,
             k,
@@ -82,11 +83,11 @@ impl ServeBuilder {
         }
     }
 
-    /// Number of shards `S ≥ 1` (values above the key count are clamped;
-    /// hash-empty shards are skipped, so the effective count can be lower —
-    /// see [`TopkService::shard_count`]).
+    /// Number of shards `S ≥ 1`, checked by [`try_build`](Self::try_build)
+    /// (values above the key count are clamped; hash-empty shards are
+    /// skipped, so the effective count can be lower — see
+    /// [`TopkService::shard_count`]).
     pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
         self
     }
@@ -165,10 +166,33 @@ impl ServeBuilder {
         self.shards
     }
 
+    /// Assemble the service, or report why the knobs are invalid: a size
+    /// outside `keys ≥ 1`, `1 ≤ k ≤ keys` ([`BuildError::InvalidSize`]),
+    /// zero shards ([`BuildError::NoShards`]), or any protocol-knob
+    /// combination [`MonitorBuilder::try_build`] rejects.
+    pub fn try_build(&self) -> Result<TopkService, BuildError> {
+        self.template.sized(self.keys, self.k).validate()?;
+        if self.shards == 0 {
+            return Err(BuildError::NoShards);
+        }
+        Ok(self.assemble())
+    }
+
     /// Assemble the service: hash keys to shards, spawn one worker (and
     /// session) per non-empty shard. Borrowing the builder keeps it a
     /// reusable template, like [`MonitorBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// On the invalid knobs [`Self::try_build`] rejects.
     pub fn build(&self) -> TopkService {
+        match self.try_build() {
+            Ok(service) => service,
+            Err(e) => panic!("invalid service configuration: {e}"),
+        }
+    }
+
+    fn assemble(&self) -> TopkService {
         let keys = self.keys;
         let k = self.k;
         let requested = self.shards.min(keys);
@@ -266,9 +290,10 @@ impl ServeBuilder {
 /// The push surface is the [`MonitorSession`] one — [`update`](Self::update)
 /// / [`update_batch`](Self::update_batch) buffer observations,
 /// [`advance`](Self::advance) commits a time step on every shard
-/// concurrently and returns the step's *global* [`TopkEvent`]s. Queries
-/// ([`topk`](Self::topk), [`threshold`](Self::threshold),
-/// [`in_topk`](Self::in_topk)) answer about the merged global ranking.
+/// concurrently (shards without updates sit it out) and returns the step's
+/// *global* [`TopkEvent`]s. Queries ([`topk`](Self::topk),
+/// [`threshold`](Self::threshold), [`in_topk`](Self::in_topk)) answer
+/// about the merged global ranking.
 ///
 /// Differences from a single session, by design:
 ///
@@ -281,7 +306,8 @@ impl ServeBuilder {
 ///   [`EventReplay`](topk_core::EventReplay) reconstructs the service
 ///   answer and threshold losslessly.
 /// * [`metrics`](Self::metrics) sums shard blocks counter-wise
-///   ([`RunMetrics::absorb`]); `steps` therefore counts shard-steps.
+///   ([`RunMetrics::absorb`]); `steps` therefore counts shard-steps,
+///   including the update-free ticks a shard sat out.
 ///
 /// [`MonitorSession`]: topk_core::session::MonitorSession
 pub struct TopkService {
@@ -340,9 +366,13 @@ impl TopkService {
     }
 
     /// Commit the buffered updates as time step `t` (strictly increasing)
-    /// on every shard **concurrently**, merge whatever changed, and return
-    /// the step's global events.
+    /// on every shard with buffered updates **concurrently**, merge
+    /// whatever changed, and return the step's global events.
     ///
+    /// The first step dispatches every shard. After it, a shard without
+    /// buffered updates wakes no worker: its step would be the session's
+    /// silent fast path, so it only counts towards `steps` and its cached
+    /// candidates stand (shards under chaos still take the round trip).
     /// A globally silent step (no shard candidate moved) skips the merge
     /// and the event derivation entirely and allocates nothing — on the
     /// service thread or any worker.
@@ -353,7 +383,7 @@ impl TopkService {
             self.last_t
         );
         for shard in &mut self.shards {
-            shard.dispatch_step(t);
+            shard.dispatch_step(t, self.started);
         }
         let mut changed = !self.started;
         for shard in &mut self.shards {
@@ -511,7 +541,8 @@ impl TopkService {
     /// Service-level protocol counters: the counter-wise sum of every
     /// shard's [`RunMetrics`] (including the embedded recovery and wire
     /// blocks). `steps` counts shard-steps — `shard_count() ×` the
-    /// wall-clock step count.
+    /// wall-clock step count, skipped update-free ticks included; every
+    /// block equals that of a twin session advanced on every tick.
     pub fn metrics(&self) -> RunMetrics {
         let mut agg = RunMetrics::default();
         for shard in &self.shards {
@@ -609,6 +640,13 @@ impl TopkService {
         self.shards[shard].seed()
     }
 
+    /// Update-free ticks one shard sat out without a worker round trip
+    /// (see [`advance`](Self::advance); always 0 under chaos). They are
+    /// already counted in the shard's `steps`.
+    pub fn shard_idle_steps(&self, shard: usize) -> u64 {
+        self.shards[shard].idle_steps()
+    }
+
     /// The last committed time step.
     pub fn last_t(&self) -> Option<u64> {
         self.last_t
@@ -624,5 +662,71 @@ impl TopkService {
     /// steady-state witness (must stop growing once the service warms up).
     pub fn event_capacity(&self) -> usize {
         self.events.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn build_err(b: ServeBuilder) -> BuildError {
+        match b.try_build() {
+            Err(e) => e,
+            Ok(_) => panic!("invalid service knobs must be rejected"),
+        }
+    }
+
+    #[test]
+    fn try_build_rejects_zero_keys() {
+        let err = build_err(ServeBuilder::new(0, 1));
+        assert_eq!(err, BuildError::InvalidSize { n: 0, k: 1 });
+        assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn try_build_rejects_zero_k() {
+        assert_eq!(
+            build_err(ServeBuilder::new(8, 0)),
+            BuildError::InvalidSize { n: 8, k: 0 }
+        );
+    }
+
+    #[test]
+    fn try_build_rejects_k_above_keys() {
+        assert_eq!(
+            build_err(ServeBuilder::new(8, 9)),
+            BuildError::InvalidSize { n: 8, k: 9 }
+        );
+        assert!(ServeBuilder::new(8, 8).try_build().is_ok());
+    }
+
+    #[test]
+    fn try_build_rejects_zero_shards() {
+        let err = build_err(ServeBuilder::new(8, 2).shards(0));
+        assert_eq!(err, BuildError::NoShards);
+        assert!(!err.to_string().is_empty());
+        assert!(ServeBuilder::new(8, 2).shards(1).try_build().is_ok());
+    }
+
+    #[test]
+    fn try_build_rejects_invalid_shard_knobs() {
+        // Checked once up front, not by a worker panicking at session build.
+        let chaos = ServeBuilder::new(8, 2)
+            .engine(Engine::Sequential)
+            .chaos(ChaosPolicy::from_seed(1));
+        assert_eq!(build_err(chaos), BuildError::ChaosOnSequential);
+        assert_eq!(
+            build_err(ServeBuilder::new(8, 2).epsilon(3).slack(5)),
+            BuildError::SlackExceedsEpsilon {
+                slack: 5,
+                epsilon: 3
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid service configuration")]
+    fn build_panics_with_the_error() {
+        let _ = ServeBuilder::new(4, 5).build();
     }
 }

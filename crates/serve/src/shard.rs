@@ -9,6 +9,17 @@
 //! performs zero allocations on either side of the slot (asserted by
 //! `tests/alloc_discipline.rs`).
 //!
+//! Only shards with buffered updates take that round trip. Once a shard's
+//! first step has committed, an update-free step on its session is always
+//! the step driver's silent fast path: protocol episodes conclude within
+//! their step and the fire calendar is step-local, so no node is engaged at a
+//! step boundary, and the step sends no message, draws no randomness,
+//! emits no event and leaves the candidates as they are. Its one visible
+//! effect is `RunMetrics::steps += 1`, so the handle skips the worker,
+//! counts the tick, and adds the count to every probe. Chaotic shards keep
+//! the round trip: an update-free chaotic step still flushes delayed
+//! frames and charges them to `Retransmit`.
+//!
 //! Channels were deliberately *not* used here: the vendored channel shims
 //! allocate per send, which would break the serving layer's zero-alloc
 //! steady state. A `Mutex` + two `Condvar`s with swapped `Vec`s is the
@@ -155,6 +166,14 @@ pub(crate) struct ShardHandle {
     /// Last known candidate list — refreshed from the slot only on steps
     /// the worker flags as changed.
     candidates: Vec<Report>,
+    /// A step is dispatched and not yet collected. `dispatch_step` swaps
+    /// `pending` for the worker's cleared buffer, so an empty `pending`
+    /// cannot tell a skipped step from a dispatched one.
+    in_flight: bool,
+    /// Update-free ticks the shard sat out; probes add them to `steps`.
+    idle_steps: u64,
+    /// Built with a `ChaosPolicy`: every tick takes the round trip.
+    chaotic: bool,
     n: usize,
     k: usize,
     seed: u64,
@@ -168,6 +187,7 @@ impl ShardHandle {
         let n = builder.config().n;
         let k = builder.config().k;
         let seed = builder.build_seed();
+        let chaotic = builder.build_chaos().is_some();
         debug_assert_eq!(globals.len(), n, "one global key per local id");
         let slot = Arc::new(Slot {
             state: Mutex::new(SlotState {
@@ -191,6 +211,9 @@ impl ShardHandle {
             join: Some(join),
             pending: Vec::new(),
             candidates: Vec::with_capacity(k),
+            in_flight: false,
+            idle_steps: 0,
+            chaotic,
             n,
             k,
             seed,
@@ -204,7 +227,16 @@ impl ShardHandle {
 
     /// Hand the queued batch to the worker and start step `t`. Returns
     /// immediately; the worker runs concurrently with its siblings.
-    pub(crate) fn dispatch_step(&mut self, t: u64) {
+    ///
+    /// With `skip_idle` (the service's first step has committed) a
+    /// chaos-free shard with nothing queued is not woken: the tick only
+    /// counts towards `steps` (see the module docs).
+    pub(crate) fn dispatch_step(&mut self, t: u64, skip_idle: bool) {
+        if skip_idle && !self.chaotic && self.pending.is_empty() {
+            self.idle_steps += 1;
+            return;
+        }
+        self.in_flight = true;
         let mut st = lock(&self.slot);
         debug_assert!(
             matches!(st.cmd, Cmd::Idle) && !st.done,
@@ -218,8 +250,12 @@ impl ShardHandle {
     }
 
     /// Wait for the dispatched step to complete; refresh the cached
-    /// candidate list if the worker flagged a change. Returns that flag.
+    /// candidate list if the worker flagged a change. Returns that flag
+    /// (`false` for a skipped step).
     pub(crate) fn collect_step(&mut self) -> bool {
+        if !std::mem::take(&mut self.in_flight) {
+            return false;
+        }
         let mut st = wait_done(&self.slot, &self.join);
         st.done = false;
         let changed = st.changed;
@@ -230,7 +266,8 @@ impl ShardHandle {
         changed
     }
 
-    /// Round-trip a metrics snapshot from the worker.
+    /// Round-trip a metrics snapshot from the worker, with the skipped
+    /// ticks added to `steps`.
     pub(crate) fn probe(&self) -> ShardProbe {
         {
             let mut st = lock(&self.slot);
@@ -243,7 +280,14 @@ impl ShardHandle {
         self.slot.cmd_ready.notify_one();
         let mut st = wait_done(&self.slot, &self.join);
         st.done = false;
-        st.probe
+        let mut probe = st.probe;
+        probe.metrics.steps += self.idle_steps;
+        probe
+    }
+
+    /// Update-free ticks the shard sat out.
+    pub(crate) fn idle_steps(&self) -> u64 {
+        self.idle_steps
     }
 
     /// The shard's current merge candidates (global keys, best-first).

@@ -13,13 +13,16 @@
 //!    perturbs the merged answers — a chaotic service is event-for-event
 //!    identical to its fault-free twin, while its recovery counters show
 //!    the faults actually fired.
+//! 4. **Idle ticks**: a shard without buffered updates sits the tick out
+//!    (no worker round trip), yet every shard block still equals a twin
+//!    session advanced on every tick, on every engine and under chaos.
 //!
 //! [`MonitorSession`]: topk_core::session::MonitorSession
 //! [`RunMetrics`]: topk_core::RunMetrics
 //! [`Engine::Socket`]: topk_core::session::Engine::Socket
 
 use topk_core::session::{Engine, MonitorBuilder, MonitorSession};
-use topk_core::RunMetrics;
+use topk_core::{RunMetrics, TopkEvent};
 use topk_net::chaos::ChaosPolicy;
 use topk_net::id::{NodeId, Value};
 use topk_net::ledger::{LedgerSnapshot, WireMetrics};
@@ -145,10 +148,121 @@ fn socket_wire_ledger_sums_across_shards() {
     );
 }
 
+/// Idle-tick trace over a built service, cycling through five tick kinds:
+/// every shard churns, quiet, one shard only (rotating), quiet, quiet.
+/// Tick 0 writes every key. Values are globally distinct (`v·keys + key`),
+/// so a single session and the service agree on every rank.
+fn idle_tick_updates(svc: &TopkService, t: u64) -> Vec<(NodeId, Value)> {
+    let keys = svc.keys();
+    let distinct = |(key, v): (NodeId, Value)| (key, v * keys as u64 + key.0 as u64);
+    let lone = (t / 5) as usize % svc.shard_count();
+    match t % 5 {
+        _ if t == 0 => (0..keys)
+            .map(|key| distinct((NodeId(key as u32), (key as u64 * 7919) % 1000)))
+            .collect(),
+        0 => step_updates(keys, t).into_iter().map(distinct).collect(),
+        2 => step_updates(keys, t)
+            .into_iter()
+            .filter(|&(key, _)| svc.shard_of(key) == lone)
+            .map(distinct)
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Membership and rank events only: the service's threshold is the merge
+/// bar and it emits no `ResetCompleted`, so those two kinds differ from a
+/// single session's by design.
+fn rank_events(events: &[TopkEvent]) -> Vec<TopkEvent> {
+    events
+        .iter()
+        .copied()
+        .filter(|e| {
+            matches!(
+                e,
+                TopkEvent::Entered { .. } | TopkEvent::Left { .. } | TopkEvent::RankChanged { .. }
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn idle_shards_match_twins_advanced_every_tick() {
+    let (keys, k, shards) = (30, 4, 3);
+    let ticks = 40u64;
+    for engine in [Engine::Sequential, Engine::Threaded, Engine::Socket] {
+        let mut svc = ServeBuilder::new(keys, k)
+            .shards(shards)
+            .seed(77)
+            .engine(engine)
+            .build();
+        assert_eq!(svc.shard_count(), shards);
+        let mut twins = shard_twins(&svc, engine);
+        let mut single = MonitorBuilder::new(keys, k).seed(77).engine(engine).build();
+
+        let mut idle = vec![0u64; shards];
+        for t in 0..ticks {
+            let updates = idle_tick_updates(&svc, t);
+            let mut touched = vec![false; shards];
+            for &(key, v) in &updates {
+                svc.update(key, v);
+                single.update(key, v);
+                twins[svc.shard_of(key)].update(svc.local_of(key), v);
+                touched[svc.shard_of(key)] = true;
+            }
+            for (s, &hit) in touched.iter().enumerate() {
+                idle[s] += u64::from(!hit);
+            }
+            let events = rank_events(svc.advance(t));
+            for twin in &mut twins {
+                twin.advance(t);
+            }
+            assert_eq!(
+                events,
+                rank_events(single.advance(t)),
+                "{engine:?} t={t}: service events diverged from the single session"
+            );
+            assert_eq!(svc.topk(), single.topk(), "{engine:?} t={t}: answers");
+        }
+        for (s, twin) in twins.iter().enumerate() {
+            assert!(idle[s] >= ticks / 2, "the trace must leave shard {s} idle");
+            assert_eq!(
+                svc.shard_idle_steps(s),
+                idle[s],
+                "{engine:?} shard {s}: every update-free tick skips the worker"
+            );
+            assert_eq!(
+                svc.shard_metrics(s),
+                *twin.metrics(),
+                "{engine:?} shard {s}: metrics diverged from the every-tick twin"
+            );
+            assert_eq!(
+                svc.shard_ledger(s),
+                twin.ledger(),
+                "{engine:?} shard {s}: ledger diverged from the every-tick twin"
+            );
+        }
+        assert_eq!(
+            svc.metrics().steps,
+            shards as u64 * ticks,
+            "{engine:?}: skipped ticks still count as shard-steps"
+        );
+    }
+}
+
 /// Drive a chaotic service and its fault-free threaded twin through the
 /// same stream, asserting the merged outputs never diverge. Returns the
 /// chaotic service so callers can tighten additional pins.
 fn assert_chaos_transparent(policy: ChaosPolicy, steps: u64) -> (TopkService, TopkService) {
+    assert_chaos_transparent_on(policy, steps, |svc, t| step_updates(svc.keys(), t))
+}
+
+/// [`assert_chaos_transparent`] over any trace of the built service.
+fn assert_chaos_transparent_on(
+    policy: ChaosPolicy,
+    steps: u64,
+    trace: fn(&TopkService, u64) -> Vec<(NodeId, Value)>,
+) -> (TopkService, TopkService) {
     let (keys, k, shards) = (14, 3, 3);
     let seed = 9;
     let mut chaotic = ServeBuilder::new(keys, k)
@@ -166,7 +280,7 @@ fn assert_chaos_transparent(policy: ChaosPolicy, steps: u64) -> (TopkService, To
         .build();
 
     for t in 0..steps {
-        let updates = step_updates(keys, t);
+        let updates = trace(&calm, t);
         chaotic.update_batch(updates.iter().copied());
         calm.update_batch(updates.iter().copied());
         let chaotic_events = chaotic.advance(t).to_vec();
@@ -229,4 +343,28 @@ fn restart_free_chaos_keeps_model_cost_identical() {
         calm.ledger().total(),
         "model ledger must be fault-free"
     );
+}
+
+#[test]
+fn chaotic_shards_stay_transparent_over_idle_ticks() {
+    // Chaotic shards take the round trip on every tick (an update-free
+    // chaotic step still flushes delayed frames); the calm twin skips.
+    let _ = assert_chaos_transparent_on(ChaosPolicy::from_seed(41), 80, idle_tick_updates);
+    let policy = ChaosPolicy::from_seed(43).with_rates(40, 40, 25, 10, 25, 0);
+    let (chaotic, calm) = assert_chaos_transparent_on(policy, 80, idle_tick_updates);
+    let committed = |m: RunMetrics| RunMetrics {
+        recovery: Default::default(),
+        wire: Default::default(),
+        ..m
+    };
+    assert_eq!(
+        committed(chaotic.metrics()),
+        committed(calm.metrics()),
+        "model cost must be fault-free, skipped ticks included"
+    );
+    assert_eq!(calm.metrics().steps, calm.shard_count() as u64 * 80);
+    for s in 0..chaotic.shard_count() {
+        assert_eq!(chaotic.shard_idle_steps(s), 0, "chaotic shard {s} skipped");
+        assert!(calm.shard_idle_steps(s) > 0, "calm shard {s} never skipped");
+    }
 }
